@@ -18,8 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .exactpoly import LaurentPoly, laguerre
 from .radicals import float_sqrt
@@ -90,11 +93,14 @@ def carrier_L(j, m) -> Carrier:
     return carrier_M(int(n), int(p))
 
 
+@lru_cache(maxsize=1024)
 def derived_core(half_power: int, core: LaurentPoly) -> LaurentPoly:
     """Core of d/dx [x**(half_power/2) exp(-x/2) core(x)], same outer factors.
 
     The product rule gives (half_power/2) x**-1 core - core/2 + core', kept
-    as a Laurent polynomial so repeated differentiation stays exact.
+    as a Laurent polynomial so repeated differentiation stays exact.  Results
+    are cached, so pointwise derivative evaluation reuses one derived core
+    (and its integer evaluator) for every point.
     """
     out = core.derivative() - Fraction(1, 2) * core
     if half_power != 0:
@@ -122,6 +128,17 @@ def evaluate(c: Carrier, x: float) -> float:
         * math.exp(-x / 2)
         * c.core.eval_float(x)
     )
+
+
+def weightless_values(c: Carrier, xs: Iterable[float]) -> np.ndarray:
+    """Values of the carrier on the nodes with the exp(-x/2) factor stripped.
+
+    With the half weight removed, products of two of these against a
+    Gauss-Laguerre rule's exp(-x) weight reproduce plain-measure inner
+    products exactly.
+    """
+    scale = c.norm_factor()
+    return np.array([scale * x ** (c.half_power / 2) * c.core.eval_float(x) for x in xs])
 
 
 def evaluate_derivative(c: Carrier, x: float, order: int = 1) -> float:

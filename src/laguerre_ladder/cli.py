@@ -6,7 +6,8 @@ decompose (sampled field to mode amplitudes) and modes (operate on a mode
 file, optionally sampling it back to a field).
 
 Exit codes: 0 success / all identities pass, 1 verification failure,
-2 usage or input error.  Output is deterministic: identical invocations
+2 usage or input error, including non-finite input cells and values outside
+the floating-point range.  Output is deterministic: identical invocations
 produce byte-identical streams.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -205,9 +207,12 @@ def _parse_csv(lines: list[str], header: list[str], min_fields: int) -> list[lis
         if len(cells) < min_fields:
             raise ValueError(f"line {lineno}: expected at least {min_fields} fields")
         try:
-            rows.append([float(c) for c in cells[:min_fields]])
+            row = [float(c) for c in cells[:min_fields]]
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        if not all(math.isfinite(v) for v in row):
+            raise ValueError(f"line {lineno}: non-finite value in {line.strip()!r}")
+        rows.append(row)
     return rows
 
 
@@ -303,6 +308,11 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        # Overflow and division by zero mean the input is out of range, not
+        # that an identity failed, so they share the input-error code.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

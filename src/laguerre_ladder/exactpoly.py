@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Mapping
 
 RationalLike = int | Fraction
@@ -24,10 +24,11 @@ class LaurentPoly:
 
     Exponents may be negative.  Instances are treated as immutable: every
     operation returns a new object and nothing mutates ``_coeffs`` after
-    construction.
+    construction, which is what lets a polynomial hash by value and keep its
+    integer Horner evaluator once built.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_horner")
 
     def __init__(self, coeffs: Mapping[int, RationalLike] | None = None):
         clean: dict[int, Fraction] = {}
@@ -37,6 +38,7 @@ class LaurentPoly:
                 if c:
                     clean[int(k)] = c
         self._coeffs = clean
+        self._horner: _Horner | None = None
 
     # -- constructors -----------------------------------------------------
 
@@ -127,6 +129,9 @@ class LaurentPoly:
             return NotImplemented
         return self._coeffs == other._coeffs
 
+    def __hash__(self) -> int:
+        return hash(frozenset(self._coeffs.items()))
+
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
@@ -148,14 +153,38 @@ class LaurentPoly:
             acc = acc * x + self._coeffs.get(k, Fraction(0))
         return acc * x**lo
 
+    def _ratio_at(self, x: float) -> tuple[int, int]:
+        """Exact value at x as (numerator, positive denominator).
+
+        Floats are dyadic rationals, so the integer Horner evaluator built
+        once per polynomial gives the exact value; x = 0 (and any input that
+        is not dyadic) goes through ``eval_exact``, the rational reference.
+        NaN raises ValueError and infinities OverflowError, as ``Fraction``
+        does.
+        """
+        num, den = (x if isinstance(x, float) else Fraction(x)).as_integer_ratio()
+        if num == 0 or den & (den - 1):
+            return self.eval_exact(Fraction(num, den)).as_integer_ratio()
+        if not self._coeffs:
+            return 0, 1
+        if self._horner is None:
+            self._horner = _Horner(self._coeffs)
+        return self._horner.ratio_at(num, den.bit_length() - 1)
+
+    def exact_at(self, x: float) -> Fraction:
+        """Exact rational value at a float point."""
+        return Fraction(*self._ratio_at(x))
+
     def eval_float(self, x: float) -> float:
         """Evaluate at a float point.
 
-        The point is lifted to an exact rational, Horner runs on the exact
-        coefficients, and only the final result is converted, so there is no
-        cancellation error even for high-degree oscillatory cores.
+        The exact value is computed in integer arithmetic and rounded once
+        (integer true division rounds correctly), so there is no
+        cancellation error even for high-degree oscillatory cores and the
+        result is ``float(self.eval_exact(Fraction(x)))`` to the last bit.
         """
-        return float(self.eval_exact(Fraction(x)))
+        num, den = self._ratio_at(x)
+        return num / den
 
     # -- rendering -----------------------------------------------------------
 
@@ -167,6 +196,50 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.render()})"
+
+
+class _Horner:
+    """Integer Horner evaluation of one nonzero Laurent polynomial.
+
+    The coefficients are cleared to a common integer denominator once, so
+    at x = m / 2**e the exact value is
+
+        sum_j a_j m**j 2**(e (N - j)) * m**lo / (denom * 2**(e hi))
+
+    with a_j the integer coefficient of x**(lo + j) and N = hi - lo: pure
+    integer arithmetic, no rounding and no rational gcd on the way.
+    """
+
+    __slots__ = ("lo", "hi", "denom", "ints")
+
+    def __init__(self, coeffs: dict[int, Fraction]):
+        self.lo, self.hi = min(coeffs), max(coeffs)
+        self.denom = lcm(*(c.denominator for c in coeffs.values()))
+        zero = Fraction(0)
+        # Descending powers, the order Horner consumes them in.
+        self.ints = [
+            (coeffs.get(k, zero) * self.denom).numerator
+            for k in range(self.hi, self.lo - 1, -1)
+        ]
+
+    def ratio_at(self, m: int, e: int) -> tuple[int, int]:
+        """Exact value at m / 2**e (m != 0) as (numerator, denominator > 0)."""
+        acc = 0
+        shift = 0
+        for a in self.ints:
+            acc = acc * m + (a << shift)
+            shift += e
+        num, den = acc, self.denom
+        if self.lo > 0:
+            num *= m**self.lo
+        elif self.lo < 0:
+            den *= m**-self.lo
+        scale = e * self.hi
+        if scale >= 0:
+            den <<= scale
+        else:
+            num <<= -scale
+        return (-num, -den) if den < 0 else (num, den)
 
 
 def derivative(p: LaurentPoly) -> LaurentPoly:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import Carrier, carrier_L, evaluate, evaluate_derivative
+from .basis import Carrier, carrier_L, evaluate, evaluate_derivative, weightless_values
 from .opalgebra import OperatorName
 from .quadrature import QuadratureRule, gauss_laguerre
 from .radicals import SqrtSum
@@ -193,14 +193,6 @@ def radial_de_scale(idx: ModeIndex, r: float) -> float:
     return max(terms)
 
 
-def _radial_values(idx: ModeIndex, grid: PolarGrid) -> np.ndarray:
-    c = radial_carrier(idx)
-    scale = c.norm_factor()
-    return np.array(
-        [scale * x ** (c.half_power / 2) * c.core.eval_float(x) for x in grid.radial_x]
-    )
-
-
 def inner_product_2d(idxA: ModeIndex, idxB: ModeIndex, grid: PolarGrid) -> complex:
     """Discretized plane inner product of two modes (conjugate on the first)."""
     idxA = _check_mode(ModeIndex(*idxA))
@@ -210,8 +202,8 @@ def inner_product_2d(idxA: ModeIndex, idxB: ModeIndex, grid: PolarGrid) -> compl
     angular = sum(cmath.exp(1j * d * phi) for phi in grid.angular_nodes) / grid.angular_count
     # The exp(-x/2) factors pair into the rule's exp(-x) weight, so the
     # radial sum is the exact polynomial integral.
-    ya = _radial_values(idxA, grid)
-    yb = _radial_values(idxB, grid)
+    ya = weightless_values(radial_carrier(idxA), grid.radial_x)
+    yb = weightless_values(radial_carrier(idxB), grid.radial_x)
     radial = math.fsum(w * a * b for w, a, b in zip(grid.radial_weights, ya, yb))
     return angular * radial
 
@@ -226,7 +218,7 @@ def gram_2d(jmax: int, grid: PolarGrid) -> np.ndarray:
     grid.require_support(jmax)
     modes = modes_up_to(jmax)
     q = grid.angular_count
-    values = np.vstack([_radial_values(idx, grid) for idx in modes])
+    values = np.vstack([weightless_values(radial_carrier(idx), grid.radial_x) for idx in modes])
     w = np.array(grid.radial_weights)
     radial = (values * w) @ values.T
     phis = np.array(grid.angular_nodes)
@@ -260,7 +252,7 @@ def decompose(fld: Field2D, jmax: int) -> ModeCoefficients:
     for m in range(-jmax, jmax + 1):
         fourier[m] = fld.values @ np.exp(-1j * m * phis) / q
     for idx in modes_up_to(jmax):
-        radial = _radial_values(idx, grid)
+        radial = weightless_values(radial_carrier(idx), grid.radial_x)
         coeffs[idx] = complex(np.dot(w * radial, fourier[idx.m]))
     return ModeCoefficients(coeffs=coeffs, jmax=jmax)
 
@@ -271,7 +263,7 @@ def reconstruct(coeffs: ModeCoefficients, grid: PolarGrid) -> Field2D:
     phis = np.array(grid.angular_nodes)
     damp = np.exp(-np.array(grid.radial_x) / 2)
     for idx, amp in coeffs.sorted_items():
-        radial = _radial_values(idx, grid) * damp
+        radial = weightless_values(radial_carrier(idx), grid.radial_x) * damp
         values += amp * np.outer(radial, np.exp(1j * idx.m * phis))
     return Field2D(grid=grid, values=values)
 

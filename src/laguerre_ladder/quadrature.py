@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .basis import Carrier, carrier_M
+from .basis import Carrier, carrier_M, weightless_values
 from .exactpoly import LaurentPoly, laguerre
 from .radicals import float_sqrt
 
@@ -54,38 +55,22 @@ def _lag_pair(order: int, x: float) -> tuple[float, float]:
     return cur, prev
 
 
-class _ExactEvaluator:
-    """Exact polynomial evaluation at dyadic (float) points.
-
-    Coefficients are cleared to a common integer denominator once, so each
-    evaluation is pure integer Horner: no rounding, no rational gcd churn.
-    """
-
-    def __init__(self, poly: LaurentPoly):
-        denom = 1
-        degree = poly.degree() or 0
-        for _, c in poly.items():
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        self.denom = denom
-        self.ints = [int(poly.coefficient(k) * denom) for k in range(degree + 1)]
-        self.degree = degree
-
-    def at(self, z: float) -> Fraction:
-        m, den = z.as_integer_ratio()
-        e = den.bit_length() - 1
-        acc = 0
-        for k in range(self.degree, -1, -1):
-            acc = acc * m + (self.ints[k] << (e * (self.degree - k)))
-        return Fraction(acc, self.denom << (e * self.degree))
-
-
 def gauss_laguerre(order: int) -> QuadratureRule:
-    """Rule with the given node count, exact through degree 2*order - 1."""
+    """Rule with the given node count, exact through degree 2*order - 1.
+
+    Rules are immutable and built once per order: repeated calls return the
+    same object.
+    """
     if not isinstance(order, int) or not (1 <= order <= _MAX_ORDER):
         raise ValueError(f"order must be an integer in [1, {_MAX_ORDER}] (got {order!r})")
+    return _build_rule(order)
+
+
+# Validation stays outside the cache: a cached 8 would otherwise answer 8.0.
+@lru_cache(maxsize=_MAX_ORDER)
+def _build_rule(order: int) -> QuadratureRule:
     poly = laguerre(order, 0)
-    value_at = _ExactEvaluator(poly)
-    slope_at = _ExactEvaluator(poly.derivative())
+    slope = poly.derivative()
 
     nodes: list[float] = []
     z = 0.0
@@ -112,7 +97,7 @@ def gauss_laguerre(order: int) -> QuadratureRule:
         # quadratic convergence makes the rounded result the true root to
         # the last bit, which the weight formula then inherits.
         for _ in range(4):
-            dz_exact = value_at.at(z) / slope_at.at(z)
+            dz_exact = poly.exact_at(z) / slope.exact_at(z)
             done = abs(dz_exact) <= Fraction(z) * Fraction(1, 10**15)
             z = float(Fraction(z) - dz_exact)
             if done:
@@ -126,9 +111,9 @@ def gauss_laguerre(order: int) -> QuadratureRule:
     # far nodes of very large rules sit below the double floor; those are
     # clamped to the smallest positive float (error <= 5e-324).
     weights: list[float] = []
-    above_at = _ExactEvaluator(laguerre(order + 1, 0))
+    above = laguerre(order + 1, 0)
     for z in nodes:
-        denom = (order + 1) * above_at.at(z)
+        denom = (order + 1) * above.exact_at(z)
         weights.append(max(float(Fraction(z) / (denom * denom)), _SMALLEST_POSITIVE))
     return QuadratureRule(nodes=tuple(nodes), weights=tuple(weights))
 
@@ -185,21 +170,6 @@ def weighted_inner_product(
     return rule.integrate(poly.eval_float)
 
 
-def _weightless_values(c: Carrier, rule: QuadratureRule) -> np.ndarray:
-    """Values of the carrier with the exp(-x/2) factor stripped.
-
-    With the half weight removed, products of two of these against the rule's
-    exp(-x) weight reproduce plain-measure inner products exactly.
-    """
-    scale = c.norm_factor()
-    return np.array(
-        [
-            scale * x ** (c.half_power / 2) * c.core.eval_float(x)
-            for x in rule.nodes
-        ]
-    )
-
-
 def gram_matrix(alpha: int, nmax: int, rule: QuadratureRule) -> np.ndarray:
     """Gram matrix of the normalized family at fixed parameter alpha.
 
@@ -218,7 +188,7 @@ def gram_matrix(alpha: int, nmax: int, rule: QuadratureRule) -> np.ndarray:
         raise ValueError(
             f"rule order {rule.order} insufficient for the family; need at least {need}"
         )
-    values = np.vstack([_weightless_values(c, rule) for c in carriers])
+    values = np.vstack([weightless_values(c, rule.nodes) for c in carriers])
     w = np.array(rule.weights)
     return (values * w) @ values.T
 
@@ -248,8 +218,8 @@ def projection_convergence(
             f"need at least {need}"
         )
     w = np.array(rule.weights)
-    residual = _weightless_values(target, rule)
-    member_values = [_weightless_values(c, rule) for c in members]
+    residual = weightless_values(target, rule.nodes)
+    member_values = [weightless_values(c, rule.nodes) for c in members]
     residuals: list[float] = []
     for k in range(0, max_n + 1):
         if k >= n0:

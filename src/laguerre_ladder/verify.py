@@ -10,8 +10,6 @@ JSON and turns any failure into a nonzero exit code.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Mapping
@@ -22,8 +20,6 @@ from . import basis, exactpoly, opalgebra, plane, quadrature
 from .basis import BasisIndex, carrier_M
 from .opalgebra import OperatorName as Op
 from .radicals import SqrtSum
-
-WORKERS_ENV = "LAGUERRE_LADDER_WORKERS"
 
 SUITE_NAMES = ("exact", "algebra", "quadrature", "plane", "so32")
 
@@ -477,12 +473,7 @@ def run_suites(
     jmax: int = 6,
     angular: int = 64,
 ) -> dict:
-    """Run the requested suites and assemble the combined report.
-
-    The worker-count environment variable spreads suites over a thread
-    pool; the report is assembled in the requested order regardless of
-    completion order.
-    """
+    """Run the requested suites in order and assemble the combined report."""
     builders: dict[str, Callable[[], dict]] = {
         "exact": lambda: suite_exact(nmax=nmax, alpha_max=alpha_max),
         "algebra": lambda: suite_algebra(nmax=nmax),
@@ -494,13 +485,7 @@ def run_suites(
     if unknown:
         raise ValueError(f"unknown suite(s): {unknown}; choose from {list(builders)}")
 
-    workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
-    if workers > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda n: builders[n](), names))
-        suites = dict(zip(names, results))
-    else:
-        suites = {n: builders[n]() for n in names}
+    suites = {n: builders[n]() for n in names}
 
     all_pass = all(check["pass"] for checks in suites.values() for check in checks.values())
     return {"suites": suites, "all_pass": all_pass}

@@ -121,6 +121,8 @@ def test_derived_core_reproduces_exponential_derivative():
     # d/dx exp(-x/2) has core -1/2 at the same outer factors.
     out = derived_core(0, LaurentPoly({0: 1}))
     assert out == LaurentPoly({0: Fraction(-1, 2)})
+    # Cached: an equal core gets the same object (and its built evaluator).
+    assert derived_core(0, LaurentPoly({0: 1})) is out
 
 
 def test_second_derivative_against_first():

@@ -52,6 +52,22 @@ def test_eval_multiple_points(capsys):
     assert values[1] == 0.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # x**(k/2) overflows before exp(-x/2) can compensate.
+        ["--n", "0", "--alpha", "200", "--x", "1500"],
+        ["--n", "2", "--alpha", "1", "--x", "inf"],
+    ],
+)
+def test_eval_arithmetic_error_is_input_error(capsys, argv):
+    code, out, err = run(capsys, "eval", "--family", "M", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_eval_missing_option(capsys):
     code, _, err = run(capsys, "eval", "--family", "M", "--n", "1", "--x", "1")
     assert code == 2
@@ -121,17 +137,6 @@ def test_verify_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_worker_pool_does_not_change_report(capsys, monkeypatch):
-    from laguerre_ladder.verify import WORKERS_ENV
-
-    args = ["verify", "--suite", "all", "--nmax", "4", "--alpha-max", "4",
-            "--order", "16", "--jmax", "2", "--angular", "16"]
-    _, serial, _ = run(capsys, *args)
-    monkeypatch.setenv(WORKERS_ENV, "4")
-    _, pooled, _ = run(capsys, *args)
-    assert serial == pooled
-
-
 # -- gram ------------------------------------------------------------------------
 
 
@@ -191,6 +196,19 @@ def test_decompose_bad_cell_names_line(tmp_path, capsys):
     code, _, err = run(capsys, "decompose", "--input", str(field), "--jmax", "2")
     assert code == 2
     assert "line 7" in err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_decompose_non_finite_cell_names_line(tmp_path, capsys, cell):
+    field = _write_single_mode_field(tmp_path, capsys, 1, 0)
+    lines = field.read_text().splitlines()
+    r, phi, re, im = lines[5].split(",")
+    lines[5] = ",".join((r, phi, cell, im))
+    field.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "decompose", "--input", str(field), "--jmax", "2")
+    assert code == 2
+    assert out == ""
+    assert "line 6" in err
 
 
 def test_decompose_insufficient_grid(tmp_path, capsys):

@@ -1,7 +1,9 @@
+import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laguerre_ladder.exactpoly import (
@@ -57,6 +59,58 @@ def test_exact_eval_matches_float_path():
     p = LaurentPoly({-1: Fraction(1, 3), 0: 2, 3: Fraction(-7, 5)})
     x = 1.7
     assert p.eval_float(x) == pytest.approx(float(p.eval_exact(Fraction(x))), abs=0)
+
+
+# Finite floats of every magnitude: subnormal, huge, negative and zero.
+points = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-60, 60)
+
+
+def _assert_matches_reference(p: LaurentPoly, x: float) -> None:
+    """eval_float is the exact rational value rounded once, bit for bit."""
+    try:
+        expected = float(p.eval_exact(Fraction(x)))
+    except (ZeroDivisionError, OverflowError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            p.eval_float(x)
+        return
+    assert p.eval_float(x).hex() == expected.hex()
+    assert p.exact_at(x) == p.eval_exact(Fraction(x))
+
+
+@given(polys, points)
+@example(LaurentPoly({-3: 1, -1: Fraction(-2, 7)}), -1e-300)
+@example(LaurentPoly({-2: Fraction(5, 3), 4: 1}), 5e-324)
+@example(LaurentPoly({-1: 1, 0: 1}), -1.0)  # a root: +0.0, never -0.0
+def test_eval_float_is_the_rounded_exact_value(p, x):
+    _assert_matches_reference(p, x)
+
+
+@given(polys)
+def test_eval_float_at_zero_matches_reference(p):
+    for x in (0.0, -0.0):
+        _assert_matches_reference(p, x)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 40), st.integers(0, 20), st.floats(0, 300))
+def test_eval_float_high_degree_laguerre(n, alpha, x):
+    _assert_matches_reference(laguerre(n, alpha), x)
+
+
+@pytest.mark.parametrize(
+    "x, exc", [(math.nan, ValueError), (math.inf, OverflowError), (-math.inf, OverflowError)]
+)
+def test_non_finite_points_raise_like_the_reference(x, exc):
+    for p in (laguerre(3, 1), LaurentPoly({-1: 2}), LaurentPoly()):
+        with pytest.raises(exc):
+            p.eval_exact(x)
+        with pytest.raises(exc):
+            p.eval_float(x)
+
+
+@given(polys)
+def test_equal_polynomials_hash_equal(p):
+    assert hash(LaurentPoly(dict(p.items()))) == hash(p)
 
 
 # -- Laguerre construction ----------------------------------------------------

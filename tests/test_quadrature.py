@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from math import factorial
@@ -76,6 +77,17 @@ def test_order_validation():
     for bad in (0, -3, 201, 2.5):
         with pytest.raises(ValueError):
             gauss_laguerre(bad)
+
+
+def test_rules_are_cached_and_immutable():
+    rule = gauss_laguerre(8)
+    assert gauss_laguerre(8) is rule
+    assert isinstance(rule.nodes, tuple) and isinstance(rule.weights, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rule.nodes = ()
+    # A cached integer order does not answer an equal float.
+    with pytest.raises(ValueError):
+        gauss_laguerre(8.0)
 
 
 # -- inner products ----------------------------------------------------------------
