@@ -93,14 +93,15 @@ def carrier_L(j, m) -> Carrier:
     return carrier_M(int(n), int(p))
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=256)
 def derived_core(half_power: int, core: LaurentPoly) -> LaurentPoly:
     """Core of d/dx [x**(half_power/2) exp(-x/2) core(x)], same outer factors.
 
     The product rule gives (half_power/2) x**-1 core - core/2 + core', kept
     as a Laurent polynomial so repeated differentiation stays exact.  Results
     are cached, so pointwise derivative evaluation reuses one derived core
-    (and its integer evaluator) for every point.
+    (and its integer evaluator) for every point; `verify --suite all` needs
+    182 distinct keys.
     """
     out = core.derivative() - Fraction(1, 2) * core
     if half_power != 0:

@@ -6,9 +6,8 @@ decompose (sampled field to mode amplitudes) and modes (operate on a mode
 file, optionally sampling it back to a field).
 
 Exit codes: 0 success / all identities pass, 1 verification failure,
-2 usage or input error, including non-finite input cells and values outside
-the floating-point range.  Output is deterministic: identical invocations
-produce byte-identical streams.
+2 usage or input error, including non-finite input cells.  Output is
+deterministic: identical invocations produce byte-identical streams.
 """
 
 from __future__ import annotations
@@ -308,11 +307,6 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ArithmeticError as exc:
-        # Overflow and division by zero mean the input is out of range, not
-        # that an identity failed, so they share the input-error code.
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -55,6 +55,7 @@ def _lag_pair(order: int, x: float) -> tuple[float, float]:
     return cur, prev
 
 
+@lru_cache(maxsize=_MAX_ORDER, typed=True)
 def gauss_laguerre(order: int) -> QuadratureRule:
     """Rule with the given node count, exact through degree 2*order - 1.
 
@@ -63,12 +64,6 @@ def gauss_laguerre(order: int) -> QuadratureRule:
     """
     if not isinstance(order, int) or not (1 <= order <= _MAX_ORDER):
         raise ValueError(f"order must be an integer in [1, {_MAX_ORDER}] (got {order!r})")
-    return _build_rule(order)
-
-
-# Validation stays outside the cache: a cached 8 would otherwise answer 8.0.
-@lru_cache(maxsize=_MAX_ORDER)
-def _build_rule(order: int) -> QuadratureRule:
     poly = laguerre(order, 0)
     slope = poly.derivative()
 

@@ -52,22 +52,6 @@ def test_eval_multiple_points(capsys):
     assert values[1] == 0.0
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # x**(k/2) overflows before exp(-x/2) can compensate.
-        ["--n", "0", "--alpha", "200", "--x", "1500"],
-        ["--n", "2", "--alpha", "1", "--x", "inf"],
-    ],
-)
-def test_eval_arithmetic_error_is_input_error(capsys, argv):
-    code, out, err = run(capsys, "eval", "--family", "M", *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
-
-
 def test_eval_missing_option(capsys):
     code, _, err = run(capsys, "eval", "--family", "M", "--n", "1", "--x", "1")
     assert code == 2
