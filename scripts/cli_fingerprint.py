@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Print the exit code and stdout hash of a fixed list of CLI calls.
+"""Print the exit code and stdout/stderr hashes of a fixed list of CLI calls.
 
 Each call runs in process through ``laguerre_ladder.cli.main``; the output
-is one line per call: exit code, sha256 of its stdout, and the call.  Run it
-on two checkouts and diff the outputs to confirm that a change leaves every
+is one line per call: exit code, sha256 of its stdout, sha256 of its stderr,
+and the call.  The calls cover exit codes 0, 1 (injected defects) and 2
+(invalid input), the JSON report and the CSV formats.  Run it on two
+checkouts and diff the outputs to confirm that a change leaves every
 command's output byte-identical:
 
     python scripts/cli_fingerprint.py
@@ -32,11 +34,15 @@ def _mode_file_text(jmax: int = 4) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def main() -> None:
@@ -44,20 +50,26 @@ def main() -> None:
         modes = Path(tmp) / "modes.csv"
         field = Path(tmp) / "field.csv"
         modes.write_text(_mode_file_text(), encoding="utf-8")
+        to_field = ["modes", "--input", str(modes), "--to-field"]  # decompose reads its output
         calls = [
             ["verify", "--suite", "all"],
+            ["verify", "--suite", "all", "--defect", "jplus-sign"],
+            ["verify", "--suite", "algebra", "--nmax", "4", "--defect", "jplus-sign"],
             ["gram", "--alpha", "2"],
             ["table", "--family", "M", "--n", "40", "--alpha", "20",
              "--xmax", "240", "--points", "200"],
-            ["modes", "--input", str(modes), "--to-field"],
+            to_field,
             ["decompose", "--input", str(field), "--jmax", "4"],
+            ["modes", "--input", str(modes), "--apply", "Jplus"],
+            ["modes", "--input", str(modes), "--apply", "Jminus", "--to-field"],
+            ["eval", "--family", "M", "--n", "1", "--alpha", "-5", "--x", "1"],
         ]
         for argv in calls:
-            code, stdout = _run(argv)
-            if argv[0] == "modes":
+            code, stdout, stderr = _run(argv)
+            if argv is to_field:
                 field.write_text(stdout, encoding="utf-8")
             shown = " ".join(a.replace(tmp, "TMP") for a in argv)
-            print(f"{code} {hashlib.sha256(stdout.encode()).hexdigest()} {shown}")
+            print(f"{code} {_sha(stdout)} {_sha(stderr)} {shown}")
 
 
 if __name__ == "__main__":

@@ -50,11 +50,17 @@ class Carrier:
     half_power: int
     core: LaurentPoly
     label: BasisIndex | None = field(default=None, compare=False)
+    _norm: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # One exact square root per carrier, not per evaluated point.
+        object.__setattr__(self, "_norm", self.sign * float_sqrt(self.norm_squared))
 
     def norm_factor(self) -> float:
-        return self.sign * float_sqrt(self.norm_squared)
+        return self._norm
 
 
+@lru_cache(maxsize=256, typed=True)
 def carrier_M(n: int, p: int) -> Carrier:
     """Normalized two-label basis function in canonical form.
 

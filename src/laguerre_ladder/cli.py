@@ -6,8 +6,9 @@ decompose (sampled field to mode amplitudes) and modes (operate on a mode
 file, optionally sampling it back to a field).
 
 Exit codes: 0 success / all identities pass, 1 verification failure,
-2 usage or input error, including non-finite input cells.  Output is
-deterministic: identical invocations produce byte-identical streams.
+2 usage or input error, including non-finite input cells and point
+options.  Output is deterministic: identical invocations produce
+byte-identical streams.
 """
 
 from __future__ import annotations
@@ -108,6 +109,15 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # leaf commands
 # ---------------------------------------------------------------------------
+
+
+def _require_finite(args) -> None:
+    """Reject inf/nan point options by name; float() accepts them."""
+    for name in ("x", "r", "phi", "xmin", "xmax"):
+        value = getattr(args, name, None)
+        for v in value if isinstance(value, list) else [value]:
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"--{name} must be finite (got {v!r})")
 
 
 def _require(args, names: list[str]) -> None:
@@ -304,6 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _require_finite(args)
         return _COMMANDS[args.command](args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

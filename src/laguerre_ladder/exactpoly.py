@@ -28,7 +28,7 @@ class LaurentPoly:
     integer Horner evaluator once built.
     """
 
-    __slots__ = ("_coeffs", "_horner")
+    __slots__ = ("_coeffs", "_horner", "_hash")
 
     def __init__(self, coeffs: Mapping[int, RationalLike] | None = None):
         clean: dict[int, Fraction] = {}
@@ -39,6 +39,7 @@ class LaurentPoly:
                     clean[int(k)] = c
         self._coeffs = clean
         self._horner: _Horner | None = None
+        self._hash: int | None = None
 
     # -- constructors -----------------------------------------------------
 
@@ -130,7 +131,9 @@ class LaurentPoly:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self._coeffs.items()))
+        return self._hash
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)

@@ -3,9 +3,12 @@
 Sixteen named generators plus the auxiliary position, derivative, number
 and second-order equation operators, in two realizations:
 
-* exact shift actions on label vectors, with matrix elements kept in the
-  exact radical ring so commutators and Casimir eigenvalues that are
-  rational come out rational, and
+* exact shift actions on label vectors in the integer gauge: on the
+  unnormalised states |n,p>_o = sqrt(n! p!) |n,p> of Schwinger's two-boson
+  realisation every generator has integer matrix elements (half-integers
+  on the diagonal), so commutators and Casimir eigenvalues, which do not
+  depend on the basis, come out in int/Fraction arithmetic; the radical
+  ring is used only to round a normalised matrix element to a float, and
 * first-order differential forms acting pointwise on carriers.
 
 The label action is ground truth; differential forms are checked against
@@ -22,6 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import factorial
 from typing import Literal, Mapping, Sequence
 
 import numpy as np
@@ -55,7 +59,8 @@ class OperatorName(Enum):
     E = "E"
 
 
-ExactVector = dict[BasisIndex, SqrtSum]
+# Coefficients over the unnormalised states |n,p>_o = sqrt(n! p!) |n,p>.
+ExactVector = dict[BasisIndex, int | Fraction]
 
 # Composite generators: (sign, first, second) meaning sign * [first, second].
 _COMMUTATOR_COMPOSITES = {
@@ -89,11 +94,11 @@ def injected_defect(name: str | None):
         set_injected_defect(previous)
 
 
-def _diagonal(op: OperatorName, n: int, p: int) -> Fraction | None:
+def _diagonal(op: OperatorName, n: int, p: int) -> int | Fraction | None:
     if op is OperatorName.N:
-        return Fraction(n)
+        return n
     if op is OperatorName.P:
-        return Fraction(p)
+        return p
     if op is OperatorName.J3:
         return Fraction(n - p, 2)
     if op is OperatorName.K3:
@@ -105,84 +110,83 @@ def _diagonal(op: OperatorName, n: int, p: int) -> Fraction | None:
     return None
 
 
-def _terms(op: OperatorName, n: int, p: int) -> list[tuple[BasisIndex, SqrtSum]]:
-    """Exact matrix elements of op applied to the basis state (n, p)."""
+def _terms(op: OperatorName, n: int, p: int) -> ExactVector:
+    """Image of the unnormalised state (n, p) under op, integer gauge."""
     diag = _diagonal(op, n, p)
     if diag is not None:
-        return [(BasisIndex(n, p), SqrtSum.of(diag))] if diag else []
+        return {BasisIndex(n, p): diag} if diag else {}
     if op is OperatorName.E:
-        return []
+        return {}
     if op is OperatorName.Aplus:
-        return [(BasisIndex(n + 1, p), SqrtSum.sqrt(n + 1))]
+        return {BasisIndex(n + 1, p): 1}
     if op is OperatorName.Aminus:
-        return [] if n == 0 else [(BasisIndex(n - 1, p), SqrtSum.sqrt(n))]
+        return {} if n == 0 else {BasisIndex(n - 1, p): n}
     if op is OperatorName.Bplus:
-        return [(BasisIndex(n, p + 1), SqrtSum.sqrt(p + 1))]
+        return {BasisIndex(n, p + 1): 1}
     if op is OperatorName.Bminus:
-        return [] if p == 0 else [(BasisIndex(n, p - 1), SqrtSum.sqrt(p))]
+        return {} if p == 0 else {BasisIndex(n, p - 1): p}
     if op is OperatorName.Jplus:
         if p == 0:
-            return []
-        elem = SqrtSum.sqrt((n + 1) * p)
-        if _injected_defect == "jplus-sign" and (n, p) == (1, 2):
-            elem = -elem
-        return [(BasisIndex(n + 1, p - 1), elem)]
+            return {}
+        elem = -p if _injected_defect == "jplus-sign" and (n, p) == (1, 2) else p
+        return {BasisIndex(n + 1, p - 1): elem}
     if op is OperatorName.Jminus:
-        return [] if n == 0 else [(BasisIndex(n - 1, p + 1), SqrtSum.sqrt(n * (p + 1)))]
+        return {} if n == 0 else {BasisIndex(n - 1, p + 1): n}
     if op is OperatorName.Kplus:
-        return [(BasisIndex(n + 1, p + 1), SqrtSum.sqrt((n + 1) * (p + 1)))]
+        return {BasisIndex(n + 1, p + 1): 1}
     if op is OperatorName.Kminus:
-        return [] if n == 0 or p == 0 else [(BasisIndex(n - 1, p - 1), SqrtSum.sqrt(n * p))]
+        return {} if n == 0 or p == 0 else {BasisIndex(n - 1, p - 1): n * p}
     if op in _COMMUTATOR_COMPOSITES:
         sign, first, second = _COMMUTATOR_COMPOSITES[op]
-        vec = {BasisIndex(n, p): SqrtSum.of(sign)}
-        return list(commutator_exact(first, second, vec).items())
+        return commutator_exact(first, second, {BasisIndex(n, p): sign})
     if op is OperatorName.X:
         # X = (N + P + 1) - K+ - K- as an exact operator identity.
-        vec = {BasisIndex(n, p): SqrtSum.of(1)}
-        out = _scale_exact(apply_exact(OperatorName.Kplus, vec), Fraction(-1))
-        _accumulate(out, _scale_exact(apply_exact(OperatorName.Kminus, vec), Fraction(-1)))
-        _accumulate(out, {BasisIndex(n, p): SqrtSum.of(n + p + 1)})
-        return [(k, v) for k, v in out.items() if v]
+        ladder = _terms(OperatorName.Kplus, n, p) | _terms(OperatorName.Kminus, n, p)
+        return {t: -elem for t, elem in ladder.items()} | {BasisIndex(n, p): n + p + 1}
     raise ValueError(f"operator {op.value} has no label-space action")
 
 
-def _accumulate(target: ExactVector, source: Mapping[BasisIndex, SqrtSum]) -> None:
-    for key, val in source.items():
-        cur = target.get(key)
-        target[key] = val if cur is None else cur + val
-
-
-def _scale_exact(vec: ExactVector, s) -> ExactVector:
-    return {k: v * s for k, v in vec.items()}
-
-
-def _prune(vec: ExactVector) -> ExactVector:
-    return {k: v for k, v in vec.items() if v}
-
-
-def apply_exact(op: OperatorName, vec: Mapping[BasisIndex, SqrtSum]) -> ExactVector:
-    """Exact label action on a vector with radical coefficients."""
+def apply_exact(op: OperatorName, vec: Mapping[BasisIndex, int | Fraction]) -> ExactVector:
+    """Exact label action on a vector over the unnormalised states."""
     out: ExactVector = {}
     for (n, p), coeff in vec.items():
-        for target, elem in _terms(op, n, p):
-            _accumulate(out, {target: coeff * elem})
-    return _prune(out)
+        for target, elem in _terms(op, n, p).items():
+            out[target] = out.get(target, 0) + coeff * elem
+    return {k: v for k, v in out.items() if v}
 
 
 def commutator_exact(
-    opA: OperatorName, opB: OperatorName, vec: Mapping[BasisIndex, SqrtSum]
+    opA: OperatorName, opB: OperatorName, vec: Mapping[BasisIndex, int | Fraction]
 ) -> ExactVector:
     """(opA opB - opB opA) applied exactly."""
-    ab = apply_exact(opA, apply_exact(opB, vec))
-    ba = apply_exact(opB, apply_exact(opA, vec))
-    out = dict(ab)
-    _accumulate(out, _scale_exact(ba, Fraction(-1)))
-    return _prune(out)
+    out = apply_exact(opA, apply_exact(opB, vec))
+    for key, val in apply_exact(opB, apply_exact(opA, vec)).items():
+        out[key] = out.get(key, 0) - val
+    return {k: v for k, v in out.items() if v}
 
 
 def exact_state(n: int, p: int) -> ExactVector:
-    return {BasisIndex(n, p): SqrtSum.of(1)}
+    """The unnormalised state |n,p>_o = sqrt(n! p!) |n,p>."""
+    return {BasisIndex(n, p): 1}
+
+
+def normalised(
+    source: tuple[int, int], vec: Mapping[BasisIndex, int | Fraction]
+) -> dict[BasisIndex, SqrtSum]:
+    """Image of the normalised state ``source`` on normalised states.
+
+    ``vec`` is the image of the unnormalised state |s>_o, s = source.
+    Dividing by sqrt(s!) and renormalising each target turns a coefficient
+    c on t into c * sqrt(t!/s!), where (n, p)! means n! p!.  The radical
+    form is canonical, so the float it rounds to does not depend on how c
+    was built.
+    """
+    n, p = source
+    weight = factorial(n) * factorial(p)
+    return {
+        t: SqrtSum.sqrt(Fraction(factorial(t.n) * factorial(t.p), weight)) * c
+        for t, c in vec.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +238,37 @@ class LabelVector:
         return not self.terms
 
 
+def _float_images(image, terms: Mapping, zero):
+    """Sum of coeff * image(n, p) over the terms, each element rounded once.
+
+    ``image(n, p)`` is the exact image of the unnormalised state; it is
+    renormalised to the normalised state before rounding.  ``zero`` (0.0 or
+    0j) starts each target's running sum.
+    """
+    out: dict = {}
+    for (n, p), coeff in terms.items():
+        for target, elem in normalised((n, p), image(n, p)).items():
+            out[target] = out.get(target, zero) + coeff * float(elem)
+    return out
+
+
+def label_action(op: OperatorName, terms: Mapping, zero=0.0) -> dict[BasisIndex, complex]:
+    """Float action of op on normalised coefficients, real or complex."""
+    return _float_images(lambda n, p: _terms(op, n, p), terms, zero)
+
+
+def commutator_action(
+    opA: OperatorName, opB: OperatorName, terms: Mapping, zero=0.0
+) -> dict[BasisIndex, complex]:
+    """Float action of (opA opB - opB opA) with exact element products per state."""
+    return _float_images(
+        lambda n, p: commutator_exact(opA, opB, exact_state(n, p)), terms, zero
+    )
+
+
 def apply_label(op: OperatorName, v: LabelVector) -> LabelVector:
     """Matrix-element action of op; boundary labels annihilate cleanly."""
-    out: dict[BasisIndex, float] = {}
-    for (n, p), coeff in v.terms.items():
-        for target, elem in _terms(op, n, p):
-            out[target] = out.get(target, 0.0) + coeff * float(elem)
-    return LabelVector(out)
+    return LabelVector(label_action(op, v.terms))
 
 
 def commutator_label(opA: OperatorName, opB: OperatorName, v: LabelVector) -> LabelVector:
@@ -250,9 +278,14 @@ def commutator_label(opA: OperatorName, opB: OperatorName, v: LabelVector) -> La
     rationals, so the lift is faithful) and converted back at the end;
     rational-valued commutators therefore come out bit-exact.
     """
-    lifted = {k: SqrtSum.of(Fraction(c)) for k, c in v.terms.items()}
-    result = commutator_exact(opA, opB, lifted)
-    return LabelVector({k: float(val) for k, val in result.items()})
+    acc: dict[BasisIndex, SqrtSum] = {}
+    for (n, p), c in v.terms.items():
+        image = commutator_exact(opA, opB, exact_state(n, p))
+        lifted = Fraction(c)
+        for target, value in normalised((n, p), image).items():
+            term = value * lifted
+            acc[target] = acc[target] + term if target in acc else term
+    return LabelVector({k: float(val) for k, val in acc.items() if val})
 
 
 def twisted_swap(v: LabelVector) -> LabelVector:
@@ -291,31 +324,30 @@ def casimir_eigenvalue(which: CasimirName, idx: tuple[int, int]) -> Fraction:
     eigenvector (which would indicate broken matrix elements).
     """
     n, p = idx
-    state = exact_state(n, p)
-    acc: ExactVector = {}
+    key = BasisIndex(n, p)
     if which == "Cp":
-        _accumulate(acc, apply_exact(OperatorName.Bminus, apply_exact(OperatorName.Bplus, state)))
-        _accumulate(acc, apply_exact(OperatorName.Bplus, apply_exact(OperatorName.Bminus, state)))
-        _accumulate(acc, _scale_exact(state, Fraction(-(2 * p + 1))))
+        acc: ExactVector = {key: -(2 * p + 1)}
+        parts = [
+            (1, OperatorName.Bminus, OperatorName.Bplus),
+            (1, OperatorName.Bplus, OperatorName.Bminus),
+        ]
     elif which in _CASIMIR_PARTS:
         diag, plus, minus, sign = _CASIMIR_PARTS[which]
-        _accumulate(acc, apply_exact(diag, apply_exact(diag, state)))
         half = Fraction(sign, 2)
-        _accumulate(acc, _scale_exact(apply_exact(plus, apply_exact(minus, state)), half))
-        _accumulate(acc, _scale_exact(apply_exact(minus, apply_exact(plus, state)), half))
+        acc = {}
+        parts = [(1, diag, diag), (half, plus, minus), (half, minus, plus)]
     else:
         raise ValueError(f"unknown Casimir {which!r}")
-    acc = _prune(acc)
-    key = BasisIndex(n, p)
+    state = exact_state(n, p)
+    for scale, first, second in parts:
+        for label, coeff in apply_exact(first, apply_exact(second, state)).items():
+            acc[label] = acc.get(label, 0) + scale * coeff
     for label, coeff in acc.items():
-        if label != key:
+        if coeff and label != key:
             raise RuntimeError(
                 f"Casimir {which} is not diagonal on {idx}: leakage onto {tuple(label)}"
             )
-    value = acc.get(key, SqrtSum.of(0))
-    if not value.is_rational():
-        raise RuntimeError(f"Casimir {which} eigenvalue on {idx} is not rational: {value!r}")
-    return value.as_fraction()
+    return Fraction(acc.get(key, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +508,8 @@ def default_sample_states() -> tuple[BasisIndex, ...]:
     )
 
 
-def _float_vec(vec: ExactVector) -> dict[BasisIndex, float]:
-    return {k: float(v) for k, v in vec.items()}
+def _float_vec(source: BasisIndex, vec: ExactVector) -> dict[BasisIndex, float]:
+    return {k: float(v) for k, v in normalised(source, vec).items()}
 
 
 def derive_structure_constants(
@@ -499,7 +531,7 @@ def derive_structure_constants(
 
     gens = SO32_GENERATORS
     images = {
-        (gi, s): _float_vec(apply_exact(g, exact_state(*s)))
+        (gi, s): _float_vec(s, apply_exact(g, exact_state(*s)))
         for gi, g in enumerate(gens)
         for s in states
     }
@@ -522,7 +554,7 @@ def derive_structure_constants(
     for a in range(dim):
         for b in range(a + 1, dim):
             comm = {
-                s: _float_vec(commutator_exact(gens[a], gens[b], exact_state(*s)))
+                s: _float_vec(s, commutator_exact(gens[a], gens[b], exact_state(*s)))
                 for s in states
             }
             mat_rows = []
@@ -607,12 +639,12 @@ def killing_casimir(sc: StructureConstants, idx: tuple[int, int], tol: float = 1
     gens = sc.generators
     acc: dict[BasisIndex, float] = {}
     for b, gen_b in enumerate(gens):
-        vb = _float_vec(apply_exact(gen_b, exact_state(n, p)))
+        vb = _float_vec(key, apply_exact(gen_b, exact_state(n, p)))
         for a, gen_a in enumerate(gens):
             if ginv[a, b] == 0.0:
                 continue
             for (nn, pp), coeff in vb.items():
-                for target, elem in _terms(gen_a, nn, pp):
+                for target, elem in normalised((nn, pp), _terms(gen_a, nn, pp)).items():
                     acc[target] = acc.get(target, 0.0) + ginv[a, b] * coeff * float(elem)
     eigen = acc.pop(key, 0.0)
     leak = max((abs(v) for v in acc.values()), default=0.0)

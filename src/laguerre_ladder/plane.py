@@ -14,15 +14,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .basis import Carrier, carrier_L, evaluate, evaluate_derivative, weightless_values
+from . import opalgebra
+from .basis import BasisIndex, Carrier, carrier_L, evaluate, evaluate_derivative, weightless_values
 from .opalgebra import OperatorName
 from .quadrature import QuadratureRule, gauss_laguerre
-from .radicals import SqrtSum
 
 
 class ModeIndex(NamedTuple):
@@ -271,18 +270,17 @@ def reconstruct(coeffs: ModeCoefficients, grid: PolarGrid) -> Field2D:
 _MODE_OPERATORS = (OperatorName.Jplus, OperatorName.Jminus, OperatorName.J3)
 
 
-def _mode_step(op: OperatorName, idx: ModeIndex) -> tuple[ModeIndex, SqrtSum] | None:
-    """Exact single-mode action; None when annihilated."""
-    j, m = idx
-    if op is OperatorName.J3:
-        return (idx, SqrtSum.of(m)) if m else None
-    if op is OperatorName.Jplus:
-        radicand = (j - m) * (j + m + 1)
-        return (ModeIndex(j, m + 1), SqrtSum.sqrt(radicand)) if radicand else None
-    if op is OperatorName.Jminus:
-        radicand = (j + m) * (j - m + 1)
-        return (ModeIndex(j, m - 1), SqrtSum.sqrt(radicand)) if radicand else None
-    raise ValueError(f"operator {op.value} does not act on mode amplitudes")
+# Plane modes are the two-label states relabelled by (n, p) = (j+m, j-m), so
+# the spin ladder acts on amplitudes through the label action of opalgebra.
+def _labels(coeffs: ModeCoefficients) -> dict[BasisIndex, complex]:
+    return {BasisIndex(j + m, j - m): amp for (j, m), amp in coeffs.coeffs.items()}
+
+
+def _modes(terms: dict[BasisIndex, complex], jmax: int) -> ModeCoefficients:
+    return ModeCoefficients(
+        coeffs={ModeIndex((n + p) // 2, (n - p) // 2): amp for (n, p), amp in terms.items()},
+        jmax=jmax,
+    )
 
 
 def apply_mode_operator(op: OperatorName, coeffs: ModeCoefficients) -> ModeCoefficients:
@@ -293,43 +291,20 @@ def apply_mode_operator(op: OperatorName, coeffs: ModeCoefficients) -> ModeCoeff
     """
     if op not in _MODE_OPERATORS:
         raise ValueError(f"operator {op.value} does not act on mode amplitudes")
-    out: dict[ModeIndex, complex] = {}
-    for idx, amp in coeffs.coeffs.items():
-        step = _mode_step(op, idx)
-        if step is None:
-            continue
-        target, elem = step
-        out[target] = out.get(target, 0j) + amp * float(elem)
-    return ModeCoefficients(coeffs=out, jmax=coeffs.jmax)
+    return _modes(opalgebra.label_action(op, _labels(coeffs), 0j), coeffs.jmax)
 
 
 def mode_casimir(coeffs: ModeCoefficients) -> ModeCoefficients:
     """Diagonal squared plus half the ladder anticommutator, exactly.
 
-    Composed from the elementary steps with exact element products (each
-    path squares one matrix element, so the radicands collapse to
-    integers); single modes scale by exactly j(j+1).
+    The spin Casimir of the label algebra is an exact rational on each
+    state, so single modes scale by exactly j(j+1).
     """
-    out: dict[ModeIndex, complex] = {}
-    for idx, amp in coeffs.coeffs.items():
-        total = SqrtSum.of(Fraction(idx.m * idx.m))
-        for first, second in (
-            (OperatorName.Jminus, OperatorName.Jplus),
-            (OperatorName.Jplus, OperatorName.Jminus),
-        ):
-            step1 = _mode_step(first, idx)
-            if step1 is None:
-                continue
-            mid, elem1 = step1
-            step2 = _mode_step(second, mid)
-            if step2 is None:
-                continue
-            target, elem2 = step2
-            assert target == idx
-            total = total + Fraction(1, 2) * (elem1 * elem2)
-        if total:
-            out[idx] = amp * float(total)
-    return ModeCoefficients(coeffs=out, jmax=coeffs.jmax)
+    out = {
+        label: amp * float(opalgebra.casimir_eigenvalue("Csu2", label))
+        for label, amp in _labels(coeffs).items()
+    }
+    return _modes(out, coeffs.jmax)
 
 
 def mode_commutator(
@@ -337,26 +312,9 @@ def mode_commutator(
 ) -> ModeCoefficients:
     """(opA opB - opB opA) on amplitudes with exact element products.
 
-    Matrix elements multiply in the exact radical ring before any float
-    conversion, so the spin commutators hold bit-exactly on amplitudes.
+    Matrix elements multiply exactly before any float conversion, so the
+    spin commutators hold bit-exactly on amplitudes.
     """
     if opA not in _MODE_OPERATORS or opB not in _MODE_OPERATORS:
         raise ValueError("mode commutators are defined for the spin ladder operators")
-    out: dict[ModeIndex, complex] = {}
-    for idx, amp in coeffs.coeffs.items():
-        exact: dict[ModeIndex, SqrtSum] = {}
-        for first, second, sign in ((opB, opA, 1), (opA, opB, -1)):
-            step1 = _mode_step(first, idx)
-            if step1 is None:
-                continue
-            mid, elem1 = step1
-            step2 = _mode_step(second, mid)
-            if step2 is None:
-                continue
-            target, elem2 = step2
-            contrib = elem1 * elem2 * sign
-            exact[target] = exact.get(target, SqrtSum.of(0)) + contrib
-        for target, value in exact.items():
-            if value:
-                out[target] = out.get(target, 0j) + amp * float(value)
-    return ModeCoefficients(coeffs=out, jmax=coeffs.jmax)
+    return _modes(opalgebra.commutator_action(opA, opB, _labels(coeffs), 0j), coeffs.jmax)

@@ -1,10 +1,11 @@
 """Exact arithmetic on finite sums of rational multiples of square roots.
 
 Values look like ``sum_s q_s * sqrt(s)`` with squarefree positive integer
-radicands s and rational q_s.  Products reduce radicands exactly, so ladder
-matrix elements and their compositions never leak floating error:
-sqrt(6)*sqrt(6) is the integer 6, and a commutator whose value is rational
-comes out rational.
+radicands s and rational q_s.  Products reduce radicands exactly:
+sqrt(6)*sqrt(6) is the integer 6.  The operator algebra computes in the
+integer gauge and uses this ring only at its float boundary: a normalised
+matrix element c*sqrt(t!/s!) takes its canonical form here and is rounded
+once, so the float does not depend on how c was computed.
 """
 
 from __future__ import annotations
@@ -63,14 +64,15 @@ class SqrtSum:
         return SqrtSum({1: q} if q else {})
 
     @staticmethod
-    def sqrt(k: int) -> "SqrtSum":
-        """Exact square root of a non-negative integer."""
+    def sqrt(k) -> "SqrtSum":
+        """Exact square root of a non-negative rational: sqrt(a/b) = sqrt(a*b)/b."""
+        k = Fraction(k)
         if k < 0:
-            raise ValueError(f"cannot take sqrt of negative integer {k}")
+            raise ValueError(f"cannot take sqrt of negative value {k}")
         if k == 0:
             return SqrtSum()
-        outer, inner = squarefree_split(k)
-        return SqrtSum({inner: Fraction(outer)})
+        outer, inner = squarefree_split(k.numerator * k.denominator)
+        return SqrtSum({inner: Fraction(outer, k.denominator)})
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -130,13 +132,7 @@ class SqrtSum:
         return self._terms[1]
 
     def __float__(self) -> float:
-        import math
-
         return math.fsum(float(q) * math.sqrt(s) for s, q in sorted(self._terms.items()))
-
-    def max_abs(self) -> float:
-        """Coarse magnitude bound, useful for residual reporting."""
-        return abs(float(self))
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -72,6 +72,17 @@ def test_labels_validated():
         carrier_M(0, -2)
 
 
+def test_carriers_are_cached_per_typed_label():
+    c = carrier_M(1, 2)
+    assert carrier_M(1, 2) is c
+    assert carrier_L(Fraction(3, 2), Fraction(-1, 2)) is c
+    # A float label is its own cache key, so it still reaches the check.
+    with pytest.raises(ValueError):
+        carrier_M(1.0, 2)
+    with pytest.raises(ValueError):
+        carrier_M(1, 2.0)
+
+
 # -- spin labelling ------------------------------------------------------------
 
 

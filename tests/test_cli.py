@@ -58,6 +58,29 @@ def test_eval_missing_option(capsys):
     assert "--alpha" in err
 
 
+M_LABELS = ["--family", "M", "--n", "2", "--alpha", "1"]
+Z_LABELS = ["--family", "Z", "--j", "1", "--m", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["eval", *M_LABELS, "--x", "inf"], "--x"),
+        (["eval", *M_LABELS, "--x", "1", "--x", "nan"], "--x"),
+        (["eval", *Z_LABELS, "--r", "inf", "--phi", "0"], "--r"),
+        (["eval", *Z_LABELS, "--r", "1", "--phi=-inf"], "--phi"),
+        (["table", *M_LABELS, "--xmin", "nan", "--xmax", "2"], "--xmin"),
+        (["table", *M_LABELS, "--xmax", "inf"], "--xmax"),
+    ],
+)
+def test_non_finite_point_option_names_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"error: {flag} must be finite")
+
+
 # -- table ------------------------------------------------------------------------
 
 
@@ -113,6 +136,26 @@ def test_verify_defect_fails_and_names_identity(capsys):
     failing = [n for n, c in report["suites"]["algebra"].items() if not c["pass"]]
     assert "su2-commutators" in failing
     assert "FAILED algebra/su2-commutators" in err
+
+
+def test_verify_defect_report_pins_failing_checks(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "algebra", "--defect", "jplus-sign")
+    assert code == 1
+    failing = {
+        name: check["max_residual"]
+        for name, check in json.loads(out)["suites"]["algebra"].items()
+        if not check["pass"]
+    }
+    assert failing == {
+        "su2-commutators": 8.0,
+        "r-ladder-commutators": 24.0,
+        "s-ladder-commutators": 24.0,
+        "r-s-cross-commutators": 33.941125496954285,
+        "casimir-su2": 4.0,
+        "casimir-r": 12.0,
+        "casimir-s": 12.0,
+        "label-diff-consistency": 2.0,
+    }
 
 
 def test_verify_output_is_deterministic(capsys):

@@ -60,6 +60,61 @@ def test_position_operator_tridiagonal():
     assert v.terms[BasisIndex(1, 2)] == pytest.approx(-math.sqrt(6), rel=1e-14)
 
 
+def _closed_forms(n, p):
+    """Normalised image of the state (n, p) under each label operator."""
+    r, q = SqrtSum.sqrt, SqrtSum.of
+    return {
+        Op.Aplus: {(n + 1, p): r(n + 1)},
+        Op.Aminus: {(n - 1, p): r(n)},
+        Op.Bplus: {(n, p + 1): r(p + 1)},
+        Op.Bminus: {(n, p - 1): r(p)},
+        Op.Jplus: {(n + 1, p - 1): r((n + 1) * p)},
+        Op.Jminus: {(n - 1, p + 1): r(n * (p + 1))},
+        Op.Kplus: {(n + 1, p + 1): r((n + 1) * (p + 1))},
+        Op.Kminus: {(n - 1, p - 1): r(n * p)},
+        Op.Rplus: {(n + 2, p): r((n + 1) * (n + 2))},
+        Op.Rminus: {(n - 2, p): r(n * (n - 1))},
+        Op.Splus: {(n, p + 2): r((p + 1) * (p + 2))},
+        Op.Sminus: {(n, p - 2): r(p * (p - 1))},
+        Op.X: {
+            (n + 1, p + 1): -r((n + 1) * (p + 1)),
+            (n - 1, p - 1): -r(n * p),
+            (n, p): q(n + p + 1),
+        },
+        Op.N: {(n, p): q(n)},
+        Op.P: {(n, p): q(p)},
+        Op.J3: {(n, p): q(Fraction(n - p, 2))},
+        Op.K3: {(n, p): q(Fraction(n + p + 1, 2))},
+        Op.R3: {(n, p): q(Fraction(2 * n + 1, 2))},
+        Op.S3: {(n, p): q(Fraction(2 * p + 1, 2))},
+        Op.E: {},
+    }
+
+
+def test_label_actions_pinned_to_closed_forms():
+    # Bit for bit, including which targets appear: a zero closed form
+    # (annihilation at a boundary) must leave no term.
+    for n in range(13):
+        for p in range(13):
+            state = LabelVector.basis_state(n, p)
+            for op, image in _closed_forms(n, p).items():
+                expected = {t: float(v).hex() for t, v in image.items() if v}
+                got = {tuple(t): v.hex() for t, v in oa.apply_label(op, state).terms.items()}
+                assert got == expected, (op, n, p)
+
+
+def test_exact_action_stays_in_integer_gauge():
+    for n in range(9):
+        for p in range(9):
+            for op in Op:
+                if op is Op.Dx:
+                    continue
+                image = oa.apply_exact(op, oa.exact_state(n, p))
+                assert all(type(v) in (int, Fraction) for v in image.values()), (op, n, p)
+            comm = oa.commutator_exact(Op.Rplus, Op.Sminus, oa.exact_state(n, p))
+            assert all(type(v) in (int, Fraction) for v in comm.values())
+
+
 def test_derivative_has_no_label_action():
     with pytest.raises(ValueError, match="label-space"):
         oa.apply_label(Op.Dx, LabelVector.basis_state(1, 1))

@@ -39,6 +39,7 @@ def test_radicand_reduction():
     assert SqrtSum.sqrt(18) == 3 * SqrtSum.sqrt(2)
     assert SqrtSum.sqrt(36) == SqrtSum.of(6)
     assert SqrtSum.sqrt(0) == SqrtSum.of(0)
+    assert SqrtSum.sqrt(Fraction(3, 8)) == Fraction(1, 4) * SqrtSum.sqrt(6)
 
 
 def test_zero_and_negation():
