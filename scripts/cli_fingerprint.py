@@ -56,13 +56,16 @@ def main() -> None:
             ["verify", "--suite", "all", "--defect", "jplus-sign"],
             ["verify", "--suite", "algebra", "--nmax", "4", "--defect", "jplus-sign"],
             ["gram", "--alpha", "2"],
+            ["gram", "--alpha", "-3", "--nmax", "20", "--order", "128"],
             ["table", "--family", "M", "--n", "40", "--alpha", "20",
              "--xmax", "240", "--points", "200"],
             to_field,
             ["decompose", "--input", str(field), "--jmax", "4"],
             ["modes", "--input", str(modes), "--apply", "Jplus"],
             ["modes", "--input", str(modes), "--apply", "Jminus", "--to-field"],
+            ["decompose", "--input", str(field), "--jmax", "4", "--min-power", "nan"],
             ["eval", "--family", "M", "--n", "1", "--alpha", "-5", "--x", "1"],
+            ["eval", "--family", "M", "--n", "5", "--alpha", "-3", "--x", "0.7"],
         ]
         for argv in calls:
             code, stdout, stderr = _run(argv)

@@ -112,12 +112,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _require_finite(args) -> None:
-    """Reject inf/nan point options by name; float() accepts them."""
-    for name in ("x", "r", "phi", "xmin", "xmax"):
+    """Reject inf/nan float options by name; float() accepts them."""
+    for name in ("x", "r", "phi", "xmin", "xmax", "min_power"):
         value = getattr(args, name, None)
         for v in value if isinstance(value, list) else [value]:
             if v is not None and not math.isfinite(v):
-                raise ValueError(f"--{name} must be finite (got {v!r})")
+                flag = name.replace("_", "-")
+                raise ValueError(f"--{flag} must be finite (got {v!r})")
 
 
 def _require(args, names: list[str]) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from typing import Mapping
 
 RationalLike = int | Fraction
@@ -34,7 +34,8 @@ class LaurentPoly:
         clean: dict[int, Fraction] = {}
         if coeffs:
             for k, c in coeffs.items():
-                c = Fraction(c)
+                if not isinstance(c, Fraction):
+                    c = Fraction(c)
                 if c:
                     clean[int(k)] = c
         self._coeffs = clean
@@ -87,7 +88,7 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self._coeffs)
         for k, c in other._coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out[k] + c if k in out else c
         return LaurentPoly(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -95,7 +96,7 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self._coeffs)
         for k, c in other._coeffs.items():
-            out[k] = out.get(k, Fraction(0)) - c
+            out[k] = out[k] - c if k in out else -c
         return LaurentPoly(out)
 
     def __neg__(self) -> "LaurentPoly":
@@ -107,7 +108,7 @@ class LaurentPoly:
             for k1, c1 in self._coeffs.items():
                 for k2, c2 in other._coeffs.items():
                     k = k1 + k2
-                    out[k] = out.get(k, Fraction(0)) + c1 * c2
+                    out[k] = out[k] + c1 * c2 if k in out else c1 * c2
             return LaurentPoly(out)
         if isinstance(other, (int, Fraction)):
             return LaurentPoly({k: c * other for k, c in self._coeffs.items()})
@@ -263,30 +264,15 @@ def _validate_index(n: int, alpha: int) -> None:
 def laguerre(n: int, alpha: int) -> LaurentPoly:
     """Exact associated Laguerre polynomial with integer parameter.
 
-    For alpha >= 0 the polynomial is built by the three-term recurrence
-    (exact and quadratic in the coefficient count).  For alpha < 0 the
-    integer extension
-
-        (factorial(n+alpha)/factorial(n)) * (-x)**(-alpha) * laguerre(n+alpha, -alpha)
-
-    is used, valid for n + alpha >= 0; its lowest-order term sits at degree
-    ``-alpha`` by construction.
+    Closed form (Abramowitz & Stegun 22.3.9): the coefficient of x**k is
+    (-1)**k * C(n+alpha, n-k) / k!.  The binomial vanishes for k < -alpha,
+    so the same line gives the negative-parameter extension (valid for
+    n + alpha >= 0), whose lowest-order term sits at degree -alpha.
     """
     _validate_index(n, alpha)
-    if alpha < 0:
-        a = -alpha
-        prefactor = Fraction(factorial(n - a), factorial(n))
-        sign = -1 if a % 2 else 1
-        return (sign * prefactor) * laguerre(n - a, a).shift(a)
-    if n == 0:
-        return LaurentPoly.const(1)
-    prev = LaurentPoly.const(1)
-    cur = LaurentPoly({0: 1 + alpha, 1: -1})
-    for k in range(1, n):
-        # (k+1) L_{k+1} = (2k+1+alpha - x) L_k - (k+alpha) L_{k-1}
-        nxt = (2 * k + 1 + alpha) * cur - cur.shift(1) - (k + alpha) * prev
-        cur, prev = Fraction(1, k + 1) * nxt, cur
-    return cur
+    return LaurentPoly(
+        {k: Fraction((-1) ** k * comb(n + alpha, n - k), factorial(k)) for k in range(n + 1)}
+    )
 
 
 def de_residual(n: int, alpha: int) -> LaurentPoly:

@@ -25,7 +25,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
 from typing import Literal, Mapping, Sequence
 
 import numpy as np
@@ -110,8 +112,18 @@ def _diagonal(op: OperatorName, n: int, p: int) -> int | Fraction | None:
     return None
 
 
-def _terms(op: OperatorName, n: int, p: int) -> ExactVector:
-    """Image of the unnormalised state (n, p) under op, integer gauge."""
+def _terms(op: OperatorName, n: int, p: int) -> Mapping[BasisIndex, int | Fraction]:
+    """Image of the unnormalised state (n, p) under op, integer gauge.
+
+    A read-only view of an image built once per injected defect.
+    """
+    return MappingProxyType(_image(op, n, p, _injected_defect))
+
+
+# Sized from counted keys: one verify --suite all builds 3,303 distinct
+# images, the three mode operators on every plane mode through j = 8 build 243.
+@lru_cache(maxsize=4096, typed=True)
+def _image(op: OperatorName, n: int, p: int, defect: str | None) -> ExactVector:
     diag = _diagonal(op, n, p)
     if diag is not None:
         return {BasisIndex(n, p): diag} if diag else {}
@@ -128,7 +140,7 @@ def _terms(op: OperatorName, n: int, p: int) -> ExactVector:
     if op is OperatorName.Jplus:
         if p == 0:
             return {}
-        elem = -p if _injected_defect == "jplus-sign" and (n, p) == (1, 2) else p
+        elem = -p if defect == "jplus-sign" and (n, p) == (1, 2) else p
         return {BasisIndex(n + 1, p - 1): elem}
     if op is OperatorName.Jminus:
         return {} if n == 0 else {BasisIndex(n - 1, p + 1): n}

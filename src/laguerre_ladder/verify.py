@@ -259,8 +259,17 @@ def label_diff_consistency(nmax: int = 10, points: int = 20) -> float:
     carriers; the gap is scaled by the largest sampled magnitude so zero
     crossings do not inflate it.
     """
-    xs = np.logspace(math.log10(0.05), math.log10(20.0), points)
+    xs = [float(x) for x in np.logspace(math.log10(0.05), math.log10(20.0), points)]
     ops = (Op.Bplus, Op.Bminus, Op.Jplus, Op.Jminus, Op.Kplus, Op.Kminus)
+    samples: dict[tuple[int, int], list[float]] = {}
+
+    def sampled(label: tuple[int, int]) -> list[float]:
+        """A carrier's values on xs, computed once per label."""
+        if label not in samples:
+            c = carrier_M(*label)
+            samples[label] = [basis.evaluate(c, x) for x in xs]
+        return samples[label]
+
     worst = 0.0
     for n in range(nmax + 1):
         for p in range(nmax + 1):
@@ -268,16 +277,15 @@ def label_diff_consistency(nmax: int = 10, points: int = 20) -> float:
             state = opalgebra.LabelVector.basis_state(n, p)
             # Annihilated states make both sides rounding dust; the input
             # carrier's own magnitude keeps the denominator honest there.
-            floor = max(abs(basis.evaluate(c, float(x))) for x in xs)
+            floor = max(abs(v) for v in sampled((n, p)))
             for op in ops:
                 image = opalgebra.apply_label(op, state)
                 gaps = []
                 scale = floor
-                for x in xs:
-                    lhs = opalgebra.apply_diff(op, c, float(x))
+                for i, x in enumerate(xs):
+                    lhs = opalgebra.apply_diff(op, c, x)
                     rhs = sum(
-                        coeff * basis.evaluate(carrier_M(*label), float(x))
-                        for label, coeff in image.terms.items()
+                        coeff * sampled(label)[i] for label, coeff in image.terms.items()
                     )
                     gaps.append(abs(lhs - rhs))
                     scale = max(scale, abs(lhs), abs(rhs))

@@ -71,6 +71,8 @@ Z_LABELS = ["--family", "Z", "--j", "1", "--m", "1"]
         (["eval", *Z_LABELS, "--r", "1", "--phi=-inf"], "--phi"),
         (["table", *M_LABELS, "--xmin", "nan", "--xmax", "2"], "--xmin"),
         (["table", *M_LABELS, "--xmax", "inf"], "--xmax"),
+        (["decompose", "--input", "field.csv", "--jmax", "4", "--min-power", "nan"],
+         "--min-power"),
     ],
 )
 def test_non_finite_point_option_names_flag(capsys, argv, flag):

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 from fractions import Fraction
@@ -146,6 +147,60 @@ def test_negative_parameter_example_two_routes():
 def test_negative_extension_lowest_degree():
     for n, a in [(3, -2), (5, -5), (10, -4)]:
         assert laguerre(n, a).low_degree() == -a
+
+
+@functools.cache
+def _reference_laguerre(n: int, alpha: int) -> LaurentPoly:
+    """L_n^alpha built independently of the closed form.
+
+    Non-negative parameters by the three-term recurrence
+    (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1}; negative ones by
+    the extension (n+alpha)!/n! * (-x)**(-alpha) * L_{n+alpha}^(-alpha).
+    """
+    if alpha < 0:
+        a = -alpha
+        sign = -1 if a % 2 else 1
+        scale = sign * Fraction(math.factorial(n - a), math.factorial(n))
+        return scale * _reference_laguerre(n - a, a).shift(a)
+    if n == 0:
+        return LaurentPoly({0: 1})
+    if n == 1:
+        return LaurentPoly({0: 1 + alpha, 1: -1})
+    k = n - 1
+    cur, prev = _reference_laguerre(k, alpha), _reference_laguerre(k - 1, alpha)
+    return Fraction(1, n) * ((2 * k + 1 + alpha) * cur - cur.shift(1) - (k + alpha) * prev)
+
+
+def test_closed_form_matches_recurrence_reference():
+    keys = [(n, alpha) for n in range(41) for alpha in range(-n, 21)]
+    keys += [(n, 0) for n in (64, 65, 96, 97, 128, 200, 201)]
+    assert len(keys) == 1688
+    for n, alpha in keys:
+        assert laguerre(n, alpha) == _reference_laguerre(n, alpha), (n, alpha)
+
+
+def test_closed_form_examples():
+    assert laguerre(0, 0) == LaurentPoly({0: 1})
+    assert laguerre(3, -2) == LaurentPoly({2: Fraction(1, 2), 3: Fraction(-1, 6)})
+
+
+laguerre_indices = st.integers(0, 60).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(-n, 40))
+)
+
+
+@given(laguerre_indices)
+def test_value_at_zero_is_binomial(index):
+    n, alpha = index
+    assert laguerre(n, alpha).eval_exact(0) == math.comb(n + alpha, n)
+
+
+@given(laguerre_indices)
+def test_leading_coefficient(index):
+    n, alpha = index
+    p = laguerre(n, alpha)
+    assert p.degree() == n
+    assert p.coefficient(n) == Fraction((-1) ** n, math.factorial(n))
 
 
 def test_invalid_indices():

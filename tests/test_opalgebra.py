@@ -115,6 +115,37 @@ def test_exact_action_stays_in_integer_gauge():
             assert all(type(v) in (int, Fraction) for v in comm.values())
 
 
+def test_memoised_images_follow_the_injected_defect():
+    state = oa.exact_state(1, 2)
+
+    def images():
+        return oa.commutator_exact(Op.Jplus, Op.Jminus, state), oa.apply_exact(Op.Rplus, state)
+
+    def fresh():
+        oa._image.cache_clear()
+        return images()
+
+    before = images()
+    assert before == fresh()
+    with oa.injected_defect("jplus-sign"):
+        inside = images()
+        assert inside == fresh()
+    assert inside != before
+    after = images()
+    assert after == fresh() == before
+
+
+def test_returned_vectors_do_not_alias_the_memo():
+    state = oa.exact_state(1, 2)
+    first = oa.apply_exact(Op.Rplus, state)
+    expected = dict(first)
+    first[next(iter(first))] += 1
+    first[BasisIndex(9, 9)] = 5
+    assert oa.apply_exact(Op.Rplus, state) == expected
+    with pytest.raises(TypeError):
+        oa._terms(Op.Rplus, 1, 2)[BasisIndex(9, 9)] = 5
+
+
 def test_derivative_has_no_label_action():
     with pytest.raises(ValueError, match="label-space"):
         oa.apply_label(Op.Dx, LabelVector.basis_state(1, 1))
