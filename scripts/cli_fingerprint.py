@@ -4,9 +4,11 @@
 Each call runs in process through ``laguerre_ladder.cli.main``; the output
 is one line per call: exit code, sha256 of its stdout, sha256 of its stderr,
 and the call.  The calls cover exit codes 0, 1 (injected defects) and 2
-(invalid input), the JSON report and the CSV formats.  Run it on two
-checkouts and diff the outputs to confirm that a change leaves every
-command's output byte-identical:
+(invalid input), the JSON report and the CSV formats, and the benchmark's
+plane round trip: a jmax-8 mode file to a 96 x 64 field, with and without
+``--apply J3``, decomposed again, and one field with a misplaced sample.
+Run it on two checkouts and diff the outputs to confirm that a change
+leaves every command's output byte-identical:
 
     python scripts/cli_fingerprint.py
 """
@@ -45,12 +47,28 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _misplace_one_sample(field_text: str) -> str:
+    """The field with one angular coordinate moved off its node."""
+    lines = field_text.splitlines()
+    r, phi, re, im = lines[10].split(",")
+    lines[10] = ",".join((r, "0.125", re, im))
+    return "\n".join(lines) + "\n"
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        modes = Path(tmp) / "modes.csv"
-        field = Path(tmp) / "field.csv"
+        modes, modes8 = Path(tmp) / "modes.csv", Path(tmp) / "modes8.csv"
+        field, field96, field96_j3, misplaced = (
+            Path(tmp) / name
+            for name in ("field.csv", "field96.csv", "field96-j3.csv", "misplaced.csv")
+        )
         modes.write_text(_mode_file_text(), encoding="utf-8")
-        to_field = ["modes", "--input", str(modes), "--to-field"]  # decompose reads its output
+        modes8.write_text(_mode_file_text(8), encoding="utf-8")
+        # decompose reads the output of these three
+        to_field = ["modes", "--input", str(modes), "--to-field"]
+        to_field96 = ["modes", "--input", str(modes8), "--to-field",
+                      "--radial-order", "96", "--angular", "64"]
+        to_field96_j3 = to_field96 + ["--apply", "J3"]
         calls = [
             ["verify", "--suite", "all"],
             ["verify", "--suite", "all", "--defect", "jplus-sign"],
@@ -66,11 +84,22 @@ def main() -> None:
             ["decompose", "--input", str(field), "--jmax", "4", "--min-power", "nan"],
             ["eval", "--family", "M", "--n", "1", "--alpha", "-5", "--x", "1"],
             ["eval", "--family", "M", "--n", "5", "--alpha", "-3", "--x", "0.7"],
+            # The benchmark's round trip: jmax 8 on a 96 x 64 grid.
+            to_field96,
+            to_field96_j3,
+            ["decompose", "--input", str(field96), "--jmax", "8"],
+            ["decompose", "--input", str(field96_j3), "--jmax", "8"],
+            ["decompose", "--input", str(misplaced), "--jmax", "8"],
         ]
         for argv in calls:
             code, stdout, stderr = _run(argv)
             if argv is to_field:
                 field.write_text(stdout, encoding="utf-8")
+            if argv is to_field96:
+                field96.write_text(stdout, encoding="utf-8")
+                misplaced.write_text(_misplace_one_sample(stdout), encoding="utf-8")
+            if argv is to_field96_j3:
+                field96_j3.write_text(stdout, encoding="utf-8")
             shown = " ".join(a.replace(tmp, "TMP") for a in argv)
             print(f"{code} {_sha(stdout)} {_sha(stderr)} {shown}")
 

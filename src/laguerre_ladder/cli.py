@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -203,12 +204,33 @@ def _read_lines(path: str) -> list[str]:
         return handle.read().splitlines()
 
 
-def _parse_csv(lines: list[str], header: list[str], min_fields: int) -> list[list[float]]:
+def _parse_csv(lines: list[str], header: list[str], min_fields: int) -> np.ndarray:
+    """The sample rows as a (rows, min_fields) float table.
+
+    Blank lines are skipped and cells past min_fields ignored.  All cells
+    are converted in one pass; only a file that fails is read again line by
+    line, which names its first bad line.
+    """
     if not lines:
         raise ValueError("line 1: empty input, expected a header row")
     got = [c.strip() for c in lines[0].split(",")]
     if got[: len(header)] != header:
         raise ValueError(f"line 1: expected header {','.join(header)!r}, got {lines[0]!r}")
+    body = [line for line in lines[1:] if line.strip()]
+    cells = chain.from_iterable(line.split(",")[:min_fields] for line in body)
+    try:
+        # Streamed straight into the array: no list of cells is ever held.
+        table = np.fromiter(map(float, cells), float, count=len(body) * min_fields)
+        table = table.reshape(len(body), min_fields)
+    except ValueError:  # a short row or a cell that is not a number
+        table = None
+    if table is None or not np.isfinite(table).all():
+        table = np.array(_checked_rows(lines, min_fields)).reshape(-1, min_fields)
+    return table
+
+
+def _checked_rows(lines: list[str], min_fields: int) -> list[list[float]]:
+    """The sample rows one line at a time; raises naming the first bad line."""
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -217,41 +239,43 @@ def _parse_csv(lines: list[str], header: list[str], min_fields: int) -> list[lis
         if len(cells) < min_fields:
             raise ValueError(f"line {lineno}: expected at least {min_fields} fields")
         try:
-            row = [float(c) for c in cells[:min_fields]]
+            row = list(map(float, cells[:min_fields]))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        if not all(math.isfinite(v) for v in row):
+        if not all(map(math.isfinite, row)):
             raise ValueError(f"line {lineno}: non-finite value in {line.strip()!r}")
         rows.append(row)
     return rows
 
 
-def _field_from_rows(rows: list[list[float]]) -> Field2D:
-    if not rows:
+def _field_from_rows(table: np.ndarray) -> Field2D:
+    if not len(table):
         raise ValueError("field file has no sample rows")
-    first_r = rows[0][0]
-    q = 0
-    for row in rows:
-        if row[0] != first_r:
-            break
-        q += 1
-    if q == 0 or len(rows) % q:
+    r, phi = table[:, 0], table[:, 1]
+    next_r = np.flatnonzero(r != r[0])
+    q = int(next_r[0]) if next_r.size else len(table)
+    if len(table) % q:
         raise ValueError("rows do not form a radial-major grid")
-    r_count = len(rows) // q
+    r_count = len(table) // q
     grid = PolarGrid.build(r_count, q)
+    radial = np.array(grid.radial_nodes)[:, None]
+    angular = np.array(grid.angular_nodes)
+    # Same comparisons as one sample at a time; the first bad sample in
+    # row-major order is reported, radial before angular.
+    bad_r = (np.abs(r.reshape(r_count, q) - radial) > 1e-8 * (1.0 + radial)).ravel()
+    bad_phi = (np.abs(phi.reshape(r_count, q) - angular) > 1e-8).ravel()
+    bad = np.flatnonzero(bad_r | bad_phi)
+    if bad.size:
+        k = int(bad[0])
+        if bad_r[k]:
+            raise ValueError(
+                f"radial sample {float(r[k])!r} does not sit on the order-{r_count} grid"
+            )
+        raise ValueError(f"angular sample {float(phi[k])!r} does not sit on the grid")
+    # Filled part by part: re + 1j*im would turn a -0.0 real part into +0.0.
     values = np.empty((r_count, q), dtype=complex)
-    radial = grid.radial_nodes
-    angular = grid.angular_nodes
-    for k in range(r_count):
-        for i in range(q):
-            r, phi, re, im = rows[k * q + i]
-            if abs(r - radial[k]) > 1e-8 * (1.0 + radial[k]):
-                raise ValueError(
-                    f"radial sample {r!r} does not sit on the order-{r_count} grid"
-                )
-            if abs(phi - angular[i]) > 1e-8:
-                raise ValueError(f"angular sample {phi!r} does not sit on the grid")
-            values[k, i] = complex(re, im)
+    values.real = table[:, 2].reshape(r_count, q)
+    values.imag = table[:, 3].reshape(r_count, q)
     return Field2D(grid=grid, values=values)
 
 
@@ -268,9 +292,9 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _modes_from_rows(rows: list[list[float]]) -> ModeCoefficients:
+def _modes_from_rows(table: np.ndarray) -> ModeCoefficients:
     coeffs: dict[ModeIndex, complex] = {}
-    for j, m, re, im in rows:
+    for j, m, re, im in table.tolist():
         if j != int(j) or m != int(m):
             raise ValueError(f"mode labels must be integers (got j={j}, m={m})")
         coeffs[ModeIndex(int(j), int(m))] = complex(re, im)
@@ -287,11 +311,17 @@ def cmd_modes(args) -> int:
         grid = PolarGrid.build(args.radial_order, args.angular)
         grid.require_support(coeffs.jmax)
         field = plane.reconstruct(coeffs, grid)
-        print("r,phi,re,im")
-        for k, r in enumerate(grid.radial_nodes):
-            for i, phi in enumerate(grid.angular_nodes):
-                v = field.values[k, i]
-                print(f"{_fmt(r)},{_fmt(phi)},{_fmt(v.real)},{_fmt(v.imag)}")
+        # Each node coordinate is formatted once; one write per radial row
+        # keeps peak memory at a row's text, not the whole file's.
+        phis = [_fmt(phi) for phi in grid.angular_nodes]
+        out = sys.stdout
+        out.write("r,phi,re,im\n")
+        for r, row in zip(grid.radial_nodes, field.values):
+            r = _fmt(r)
+            out.write("".join(
+                f"{r},{phi},{_fmt(a)},{_fmt(b)}\n"
+                for phi, a, b in zip(phis, row.real.tolist(), row.imag.tolist())
+            ))
         return 0
     print("j,m,re,im,power")
     for idx, amp in coeffs.sorted_items():

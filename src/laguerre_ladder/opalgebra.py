@@ -411,6 +411,42 @@ _DIFF_SUPPORTED = {
 }
 
 
+FIRST_ORDER: tuple[OperatorName, ...] = (
+    OperatorName.Bplus,
+    OperatorName.Bminus,
+    OperatorName.Jplus,
+    OperatorName.Jminus,
+    OperatorName.Kplus,
+    OperatorName.Kminus,
+)
+
+
+def first_order_form(
+    op: OperatorName, n: int, p: int, x: float, f: float, f1: float
+) -> float:
+    """A first-order ladder form at x > 0, given the carrier's value f and
+    derivative f1 there; (n, p) is the carrier's label.
+
+    Callers that apply several forms to one carrier evaluate it once.
+    """
+    root = math.sqrt(x)
+    if op is OperatorName.Bplus:
+        return -root * f1 + (root / 2 + (p - n) / (2 * root)) * f
+    if op is OperatorName.Bminus:
+        return root * f1 + (root / 2 + (p - n) / (2 * root)) * f
+    if op is OperatorName.Jplus:
+        d = n - p + 1
+        return -d * f1 + (d * (n - p) / (2 * x)) * f - ((n + p + 1) / 2) * f
+    if op is OperatorName.Jminus:
+        d = n - p - 1
+        return d * f1 + (d * (n - p) / (2 * x)) * f - ((n + p + 1) / 2) * f
+    if op is OperatorName.Kplus:
+        return x * f1 + ((n + p + 2 - x) / 2) * f
+    if op is OperatorName.Kminus:
+        return -x * f1 + ((n + p - x) / 2) * f
+    raise ValueError(f"operator {op.value} has no first-order form")
+
+
 def apply_diff(op: OperatorName, c: Carrier, x: float) -> float:
     """Evaluate the published differential form of op on a carrier at x > 0.
 
@@ -439,21 +475,8 @@ def apply_diff(op: OperatorName, c: Carrier, x: float) -> float:
     f1 = evaluate_derivative(c, x, 1)
     if op is OperatorName.Dx:
         return f1
-    root = math.sqrt(x)
-    if op is OperatorName.Bplus:
-        return -root * f1 + (root / 2 + (p - n) / (2 * root)) * f
-    if op is OperatorName.Bminus:
-        return root * f1 + (root / 2 + (p - n) / (2 * root)) * f
-    if op is OperatorName.Jplus:
-        d = n - p + 1
-        return -d * f1 + (d * (n - p) / (2 * x)) * f - ((n + p + 1) / 2) * f
-    if op is OperatorName.Jminus:
-        d = n - p - 1
-        return d * f1 + (d * (n - p) / (2 * x)) * f - ((n + p + 1) / 2) * f
-    if op is OperatorName.Kplus:
-        return x * f1 + ((n + p + 2 - x) / 2) * f
-    if op is OperatorName.Kminus:
-        return -x * f1 + ((n + p - x) / 2) * f
+    if op in FIRST_ORDER:
+        return first_order_form(op, n, p, x, f, f1)
     # Second-order equation operator.
     f2 = evaluate_derivative(c, x, 2)
     return x * f2 + f1 + ((n + p + 1) / 2) * f - ((p - n) ** 2 / (4 * x)) * f - (x / 4) * f

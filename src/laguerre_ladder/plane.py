@@ -192,6 +192,23 @@ def radial_de_scale(idx: ModeIndex, r: float) -> float:
     return max(terms)
 
 
+def radial_samples(modes: list[ModeIndex], grid: PolarGrid) -> list[np.ndarray]:
+    """`weightless_values` of each mode's radial carrier on the radial nodes.
+
+    Computed once per distinct carrier: (j, m) and (j, -m) share one, since
+    n - p = 2m is even and the label swap carries sign +1.  Carrier equality
+    ignores the label, so the carrier itself is the key.
+    """
+    samples: dict[Carrier, np.ndarray] = {}
+    out = []
+    for idx in modes:
+        c = radial_carrier(idx)
+        if c not in samples:
+            samples[c] = weightless_values(c, grid.radial_x)
+        out.append(samples[c])
+    return out
+
+
 def inner_product_2d(idxA: ModeIndex, idxB: ModeIndex, grid: PolarGrid) -> complex:
     """Discretized plane inner product of two modes (conjugate on the first)."""
     idxA = _check_mode(ModeIndex(*idxA))
@@ -210,14 +227,14 @@ def inner_product_2d(idxA: ModeIndex, idxB: ModeIndex, grid: PolarGrid) -> compl
 def gram_2d(jmax: int, grid: PolarGrid) -> np.ndarray:
     """Gram matrix of all modes through jmax; should be the identity.
 
-    Radial node values are computed once per mode and combined with the
-    exact angular averages, which is the same double sum as the pairwise
-    inner product, just batched.
+    Radial node values are computed once per distinct carrier and combined
+    with the exact angular averages, which is the same double sum as the
+    pairwise inner product, just batched.
     """
     grid.require_support(jmax)
     modes = modes_up_to(jmax)
     q = grid.angular_count
-    values = np.vstack([weightless_values(radial_carrier(idx), grid.radial_x) for idx in modes])
+    values = np.vstack(radial_samples(modes, grid))
     w = np.array(grid.radial_weights)
     radial = (values * w) @ values.T
     phis = np.array(grid.angular_nodes)
@@ -250,8 +267,8 @@ def decompose(fld: Field2D, jmax: int) -> ModeCoefficients:
     fourier: dict[int, np.ndarray] = {}
     for m in range(-jmax, jmax + 1):
         fourier[m] = fld.values @ np.exp(-1j * m * phis) / q
-    for idx in modes_up_to(jmax):
-        radial = weightless_values(radial_carrier(idx), grid.radial_x)
+    modes = modes_up_to(jmax)
+    for idx, radial in zip(modes, radial_samples(modes, grid)):
         coeffs[idx] = complex(np.dot(w * radial, fourier[idx.m]))
     return ModeCoefficients(coeffs=coeffs, jmax=jmax)
 
@@ -261,9 +278,9 @@ def reconstruct(coeffs: ModeCoefficients, grid: PolarGrid) -> Field2D:
     values = np.zeros((grid.rule.order, grid.angular_count), dtype=complex)
     phis = np.array(grid.angular_nodes)
     damp = np.exp(-np.array(grid.radial_x) / 2)
-    for idx, amp in coeffs.sorted_items():
-        radial = weightless_values(radial_carrier(idx), grid.radial_x) * damp
-        values += amp * np.outer(radial, np.exp(1j * idx.m * phis))
+    items = coeffs.sorted_items()
+    for (idx, amp), radial in zip(items, radial_samples([idx for idx, _ in items], grid)):
+        values += amp * np.outer(radial * damp, np.exp(1j * idx.m * phis))
     return Field2D(grid=grid, values=values)
 
 

@@ -260,7 +260,6 @@ def label_diff_consistency(nmax: int = 10, points: int = 20) -> float:
     crossings do not inflate it.
     """
     xs = [float(x) for x in np.logspace(math.log10(0.05), math.log10(20.0), points)]
-    ops = (Op.Bplus, Op.Bminus, Op.Jplus, Op.Jminus, Op.Kplus, Op.Kminus)
     samples: dict[tuple[int, int], list[float]] = {}
 
     def sampled(label: tuple[int, int]) -> list[float]:
@@ -277,13 +276,17 @@ def label_diff_consistency(nmax: int = 10, points: int = 20) -> float:
             state = opalgebra.LabelVector.basis_state(n, p)
             # Annihilated states make both sides rounding dust; the input
             # carrier's own magnitude keeps the denominator honest there.
-            floor = max(abs(v) for v in sampled((n, p)))
-            for op in ops:
+            f = sampled((n, p))
+            # The carrier's value and derivative, once per point for all six
+            # forms; the same numbers opalgebra.apply_diff computes.
+            f1 = [basis.evaluate_derivative(c, x, 1) for x in xs]
+            floor = max(abs(v) for v in f)
+            for op in opalgebra.FIRST_ORDER:
                 image = opalgebra.apply_label(op, state)
                 gaps = []
                 scale = floor
                 for i, x in enumerate(xs):
-                    lhs = opalgebra.apply_diff(op, c, x)
+                    lhs = opalgebra.first_order_form(op, n, p, x, f[i], f1[i])
                     rhs = sum(
                         coeff * sampled(label)[i] for label, coeff in image.terms.items()
                     )

@@ -1,0 +1,203 @@
+"""Field files and plane synthesis/analysis against one-at-a-time references.
+
+The references below are the straightforward forms: one formatted line per
+sample, one Python complex per cell, one radial sample per mode.  The
+library batches each of these; its output must match them bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from laguerre_ladder import cli, plane
+from laguerre_ladder.basis import weightless_values
+from laguerre_ladder.cli import main
+from laguerre_ladder.opalgebra import OperatorName
+from laguerre_ladder.plane import Field2D, ModeCoefficients, ModeIndex, PolarGrid
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _mode_file(tmp_path, jmax=8):
+    lines = ["j,m,re,im"]
+    for j in range(jmax + 1):
+        for m in range(-j, j + 1):
+            scale = 1.0 + j * j + m * m
+            re, im = (1.0 + j - 0.3 * m) / scale, (0.5 * m - 0.1 * j) / scale
+            lines.append(f"{j},{m},{re!r},{im!r}")
+    path = tmp_path / "modes.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+# -- references ------------------------------------------------------------------
+
+
+def reference_reconstruct(coeffs, grid):
+    values = np.zeros((grid.rule.order, grid.angular_count), dtype=complex)
+    phis = np.array(grid.angular_nodes)
+    damp = np.exp(-np.array(grid.radial_x) / 2)
+    for idx, amp in coeffs.sorted_items():
+        radial = weightless_values(plane.radial_carrier(idx), grid.radial_x) * damp
+        values += amp * np.outer(radial, np.exp(1j * idx.m * phis))
+    return values
+
+
+def reference_decompose(fld, jmax):
+    grid = fld.grid
+    q = grid.angular_count
+    phis = np.array(grid.angular_nodes)
+    x = np.array(grid.radial_x)
+    w = np.array(grid.radial_weights) * np.exp(x / 2)
+    fourier = {m: fld.values @ np.exp(-1j * m * phis) / q for m in range(-jmax, jmax + 1)}
+    coeffs = {}
+    for idx in plane.modes_up_to(jmax):
+        radial = weightless_values(plane.radial_carrier(idx), grid.radial_x)
+        coeffs[idx] = complex(np.dot(w * radial, fourier[idx.m]))
+    return coeffs
+
+
+def reference_field_text(values, grid):
+    lines = ["r,phi,re,im"]
+    for k, r in enumerate(grid.radial_nodes):
+        for i, phi in enumerate(grid.angular_nodes):
+            v = values[k, i]
+            lines.append(f"{cli._fmt(r)},{cli._fmt(phi)},{cli._fmt(v.real)},{cli._fmt(v.imag)}")
+    return "\n".join(lines) + "\n"
+
+
+def _hex(values):
+    return [(float(z.real).hex(), float(z.imag).hex()) for z in np.ravel(values)]
+
+
+# -- writer and synthesis ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("apply", [None, "J3"])
+def test_to_field_matches_reference_writer(tmp_path, capsys, apply):
+    path = _mode_file(tmp_path)
+    argv = ["modes", "--input", str(path), "--to-field", "--radial-order", "96", "--angular", "64"]
+    if apply:
+        argv += ["--apply", apply]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+
+    table = cli._parse_csv(path.read_text().splitlines(), ["j", "m", "re", "im"], 4)
+    coeffs = cli._modes_from_rows(table)
+    if apply:
+        coeffs = plane.apply_mode_operator(OperatorName[apply], coeffs)
+    grid = PolarGrid.build(96, 64)
+    assert out == reference_field_text(reference_reconstruct(coeffs, grid), grid)
+
+
+def test_reconstruct_and_decompose_match_references():
+    grid = PolarGrid.build(96, 64)
+    amps = {idx: complex(1 + idx.j - 0.3 * idx.m, 0.5 * idx.m) for idx in plane.modes_up_to(8)}
+    coeffs = ModeCoefficients(coeffs=amps, jmax=8)
+    fld = plane.reconstruct(coeffs, grid)
+    assert _hex(fld.values) == _hex(reference_reconstruct(coeffs, grid))
+
+    got = plane.decompose(fld, 8).coeffs
+    want = reference_decompose(fld, 8)
+    assert list(got) == [idx for idx in want if want[idx]]
+    assert _hex(list(got.values())) == _hex([want[idx] for idx in got])
+
+
+def test_radial_samples_match_per_mode_values():
+    grid = PolarGrid.build(96, 64)
+    modes = plane.modes_up_to(8)
+    got = plane.radial_samples(modes, grid)
+    for idx, values in zip(modes, got):
+        want = weightless_values(plane.radial_carrier(idx), grid.radial_x)
+        assert [v.hex() for v in values.tolist()] == [v.hex() for v in want.tolist()]
+
+
+def test_opposite_m_modes_share_one_radial_sample():
+    grid = PolarGrid.build(16, 16)
+    samples = plane.radial_samples([ModeIndex(3, 2), ModeIndex(3, -2), ModeIndex(3, 0)], grid)
+    assert samples[0] is samples[1]
+    assert samples[0] is not samples[2]
+
+
+# -- reader ------------------------------------------------------------------------
+
+
+def _field_lines(tmp_path, capsys, radial=4, angular=4):
+    path = tmp_path / "modes.csv"
+    path.write_text("j,m,re,im\n1,1,1,0\n")
+    code, out, _ = run(
+        capsys, "modes", "--input", str(path), "--to-field",
+        "--radial-order", str(radial), "--angular", str(angular),
+    )
+    assert code == 0
+    return out.splitlines()
+
+
+def _set_cell(lines, row, column, value):
+    """Replace one cell of sample row `row` (0-based, after the header)."""
+    cells = lines[row + 1].split(",")
+    cells[column] = value
+    lines[row + 1] = ",".join(cells)
+
+
+def _decompose_lines(tmp_path, capsys, lines):
+    path = tmp_path / "field.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return run(capsys, "decompose", "--input", str(path), "--jmax", "1")
+
+
+def test_reader_names_misplaced_radial_sample(tmp_path, capsys):
+    lines = _field_lines(tmp_path, capsys)
+    _set_cell(lines, 9, 0, "2.5")
+    code, out, err = _decompose_lines(tmp_path, capsys, lines)
+    assert (code, out) == (2, "")
+    assert err == "error: radial sample 2.5 does not sit on the order-4 grid\n"
+
+
+def test_reader_names_misplaced_angular_sample(tmp_path, capsys):
+    lines = _field_lines(tmp_path, capsys)
+    _set_cell(lines, 6, 1, "0.125")
+    code, out, err = _decompose_lines(tmp_path, capsys, lines)
+    assert (code, out) == (2, "")
+    assert err == "error: angular sample 0.125 does not sit on the grid\n"
+
+
+@pytest.mark.parametrize(
+    "radial_row, angular_row, message",
+    [
+        (9, 6, "angular sample 0.125 does not sit on the grid"),
+        (6, 9, "radial sample 2.5 does not sit on the order-4 grid"),
+        (9, 9, "radial sample 2.5 does not sit on the order-4 grid"),
+    ],
+)
+def test_reader_reports_first_bad_sample_in_row_major_order(
+    tmp_path, capsys, radial_row, angular_row, message
+):
+    lines = _field_lines(tmp_path, capsys)
+    _set_cell(lines, radial_row, 0, "2.5")
+    _set_cell(lines, angular_row, 1, "0.125")
+    code, out, err = _decompose_lines(tmp_path, capsys, lines)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_reader_rejects_ragged_grid(tmp_path, capsys):
+    lines = _field_lines(tmp_path, capsys)
+    code, out, err = _decompose_lines(tmp_path, capsys, lines[:-1])
+    assert (code, out) == (2, "")
+    assert err == "error: rows do not form a radial-major grid\n"
+
+
+def test_reader_keeps_negative_zero_parts():
+    grid = PolarGrid.build(2, 1)
+    rows = [[r, grid.angular_nodes[0], -0.0, -0.0] for r in grid.radial_nodes]
+    fld = cli._field_from_rows(np.array(rows))
+    assert isinstance(fld, Field2D)
+    for z in fld.values.ravel():
+        assert math.copysign(1.0, z.real) == -1.0
+        assert math.copysign(1.0, z.imag) == -1.0

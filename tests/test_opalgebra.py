@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laguerre_ladder import opalgebra as oa
-from laguerre_ladder.basis import BasisIndex, carrier_M, evaluate
+from laguerre_ladder.basis import BasisIndex, carrier_M, evaluate, evaluate_derivative
 from laguerre_ladder.opalgebra import LabelVector, OperatorName as Op
 from laguerre_ladder.radicals import SqrtSum
 
@@ -300,6 +300,25 @@ def test_label_and_differential_realizations_agree():
                     )
                     scale = max(abs(lhs), abs(rhs), floor)
                     assert abs(lhs - rhs) / scale < 1e-9, (op, n, p, x)
+
+
+def test_first_order_form_is_apply_diff_bit_for_bit():
+    """What label_diff_consistency computes once per point is apply_diff's value."""
+    xs = [float(x) for x in np.logspace(math.log10(0.05), math.log10(20.0), 20)]
+    assert set(oa.FIRST_ORDER) == {Op.Bplus, Op.Bminus, Op.Jplus, Op.Jminus, Op.Kplus, Op.Kminus}
+    for n in range(11):
+        for p in range(11):
+            c = carrier_M(n, p)
+            for x in xs:
+                f, f1 = evaluate(c, x), evaluate_derivative(c, x, 1)
+                for op in oa.FIRST_ORDER:
+                    got = oa.first_order_form(op, n, p, x, f, f1)
+                    assert got.hex() == oa.apply_diff(op, c, x).hex(), (op, n, p, x)
+
+
+def test_first_order_form_rejects_other_operators():
+    with pytest.raises(ValueError, match="no first-order form"):
+        oa.first_order_form(Op.E, 1, 1, 1.0, 1.0, 1.0)
 
 
 # -- structure constants and the Killing form -----------------------------------------
