@@ -2,8 +2,8 @@
 """Print the Casimir spectrum over a block of labels.
 
 Each row lists the exact eigenvalues of the five quadratic invariants on
-one basis state, followed by the numerically derived Killing-form Casimir
-of the closing ten-generator algebra (constant at -5/4).
+one basis state, followed by the exact Killing-form Casimir of the closing
+ten-generator algebra (constant at -5/4).
 """
 
 import sys
@@ -23,7 +23,7 @@ def main(nmax: int = 4) -> None:
             killing = opalgebra.killing_casimir(sc, (n, p))
             print(
                 f"{n:>3} {p:>3} {str(row[0]):>5} {str(row[1]):>8} {str(row[2]):>8} "
-                f"{str(row[3]):>6} {str(row[4]):>6} {killing:>12.8f}"
+                f"{str(row[3]):>6} {str(row[4]):>6} {str(killing):>12}"
             )
 
 

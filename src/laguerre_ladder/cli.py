@@ -28,6 +28,10 @@ from .opalgebra import OperatorName
 from .plane import Field2D, ModeCoefficients, ModeIndex, PolarGrid
 
 
+# The most points one table may have: a bound checked before any allocation.
+MAX_TABLE_POINTS = 10**6
+
+
 def _fmt(value: float) -> str:
     return f"{value + 0.0:.17g}"  # +0.0 folds negative zero
 
@@ -158,6 +162,8 @@ def cmd_table(args) -> int:
     carrier = _eval_carrier_from_args(args)
     if args.points < 2 or args.xmax <= args.xmin or args.xmin < 0:
         raise ValueError("table needs xmin >= 0 < xmax and at least two points")
+    if args.points > MAX_TABLE_POINTS:
+        raise ValueError(f"--points must be at most {MAX_TABLE_POINTS} (got {args.points})")
     print("x,value")
     for x in np.linspace(args.xmin, args.xmax, args.points):
         print(f"{_fmt(float(x))},{_fmt(evaluate(carrier, float(x)))}")
@@ -165,6 +171,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for name in ("nmax", "alpha_max", "jmax"):
+        if getattr(args, name) < 0:
+            flag = name.replace("_", "-")
+            raise ValueError(f"--{flag} must be non-negative (got {getattr(args, name)})")
     names = list(verify.SUITE_NAMES) if args.suite == "all" else [args.suite]
     opalgebra.set_injected_defect(args.defect)
     try:

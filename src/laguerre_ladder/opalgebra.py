@@ -6,7 +6,8 @@ and second-order equation operators, in two realizations:
 * exact shift actions on label vectors in the integer gauge: on the
   unnormalised states |n,p>_o = sqrt(n! p!) |n,p> of Schwinger's two-boson
   realisation every generator has integer matrix elements (half-integers
-  on the diagonal), so commutators and Casimir eigenvalues, which do not
+  on the diagonal), so commutators, Casimir eigenvalues, the so(3,2)
+  structure constants, the Killing form and its Casimir, none of which
   depend on the basis, come out in int/Fraction arithmetic; the radical
   ring is used only to round a normalised matrix element to a float, and
 * first-order differential forms acting pointwise on carriers.
@@ -25,12 +26,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations, product
 from math import factorial
 from types import MappingProxyType
 from typing import Literal, Mapping, Sequence
-
-import numpy as np
 
 from .basis import BasisIndex, Carrier, carrier_M, derived_core, evaluate, evaluate_derivative
 from .exactpoly import LaurentPoly
@@ -499,190 +499,174 @@ SO32_GENERATORS: tuple[OperatorName, ...] = (
     OperatorName.Sminus,
 )
 
+# Twelve interior states, away from annihilation boundaries; their images
+# determine every commutator's expansion over the ten generators.
+SAMPLE_STATES: tuple[BasisIndex, ...] = tuple(
+    BasisIndex(n, p)
+    for n, p in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4),
+                 (4, 2), (4, 3), (4, 4), (5, 3), (5, 5)]
+)
+
+
+def _row_reduce(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Fraction, and its pivot columns."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        pick = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if pick is None:
+            continue
+        lead = rows[pick][col]
+        rows[pick], rows[top] = rows[top], [v / lead for v in rows[pick]]
+        for i, row in enumerate(rows):
+            if i != top and row[col]:
+                rows[i] = [v - row[col] * w for v, w in zip(row, rows[top])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def _inverse(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Exact inverse of a square matrix; raises when it is singular."""
+    size = len(matrix)
+    eye = [[int(i == j) for j in range(size)] for i in range(size)]
+    reduced, pivots = _row_reduce([[*row, *unit] for row, unit in zip(matrix, eye)])
+    if pivots != list(range(size)):
+        raise RuntimeError("matrix is singular")
+    return [row[size:] for row in reduced]
+
 
 @dataclass
 class StructureConstants:
     """Expansion of every commutator over the ten closing generators.
 
-    ``table[a, b, c]`` is the coefficient of generator c in [X_a, X_b].
-    ``residual_flag`` is set when some commutator failed to close within
-    tolerance; ``worst_pair`` names the offender.
+    ``table[a][b][c]`` is the exact coefficient of generator c in
+    [X_a, X_b].  ``closure_residual`` is the largest integer-gauge mismatch
+    between a commutator and its expansion on a sample state, ``witness``
+    the first (pair, state) that does not close (None if all do), and
+    ``cases`` the number of (pair, state) checks.
     """
 
     generators: tuple[OperatorName, ...]
-    table: np.ndarray
-    max_fit_residual: float
-    worst_pair: tuple[OperatorName, OperatorName]
-    residual_flag: bool
-    fit_tolerance: float
-    sample_states: tuple[BasisIndex, ...] = ()
+    table: list[list[list[Fraction]]]
+    closure_residual: Fraction
+    witness: tuple[tuple[OperatorName, OperatorName], BasisIndex] | None
+    cases: int
 
-    def antisymmetry_residual(self) -> float:
-        return float(np.max(np.abs(self.table + np.swapaxes(self.table, 0, 1))))
+    @cached_property
+    def nonzero(self) -> list[list[list[tuple[int, Fraction]]]]:
+        """``nonzero[a][b]`` lists (c, table[a][b][c]) for the nonzero entries."""
+        return [[[(c, v) for c, v in enumerate(row) if v] for row in rows] for rows in self.table]
 
-    def jacobi_residual(self) -> float:
-        t = self.table
-        total = (
-            np.einsum("bcd,ade->abce", t, t)
-            + np.einsum("cad,bde->abce", t, t)
-            + np.einsum("abd,cde->abce", t, t)
-        )
-        return float(np.max(np.abs(total)))
+    def antisymmetry_residual(self) -> Fraction:
+        t, r = self.table, range(len(self.generators))
+        return max(abs(t[a][b][c] + t[b][a][c]) for a, b, c in product(r, repeat=3))
+
+    def jacobi_residual(self) -> Fraction:
+        """Largest coefficient of [X_a,[X_b,X_c]] + cyclic."""
+        nz, worst = self.nonzero, Fraction(0)
+        for a, b, c in product(range(len(self.generators)), repeat=3):
+            acc: dict[int, Fraction] = {}
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                for d, v in nz[y][z]:
+                    for e, w in nz[x][d]:
+                        acc[e] = acc.get(e, 0) + v * w
+            worst = max([worst, *map(abs, acc.values())])
+        return worst
+
+    @cached_property
+    def casimir_metric(self) -> list[list[Fraction]]:
+        """g^{ab}: the inverse Killing form, scaled so that its su(2) block
+        gives the spin Casimir j(j+1)."""
+        B = killing_form(self)
+        i3 = self.generators.index(OperatorName.J3)
+        if not B[i3][i3]:
+            raise RuntimeError("degenerate su(2) block in the Killing form")
+        return [[B[i3][i3] * v for v in row] for row in _inverse(B)]
 
 
-def default_sample_states() -> tuple[BasisIndex, ...]:
-    """Twelve interior states, away from annihilation boundaries."""
-    return tuple(
-        BasisIndex(n, p)
-        for n, p in [
-            (2, 2), (2, 3), (2, 4), (2, 5),
-            (3, 2), (3, 3), (3, 4),
-            (4, 2), (4, 3), (4, 4),
-            (5, 3), (5, 5),
-        ]
-    )
+def derive_structure_constants() -> StructureConstants:
+    """Solve every commutator of the ten generators over the generator basis.
 
-
-def _float_vec(source: BasisIndex, vec: ExactVector) -> dict[BasisIndex, float]:
-    return {k: float(v) for k, v in normalised(source, vec).items()}
-
-
-def derive_structure_constants(
-    sample_states: Sequence[tuple[int, int]] | None = None,
-    tolerance: float = 1e-9,
-) -> StructureConstants:
-    """Fit every commutator of the ten generators over the generator basis.
-
-    Least squares over the sample states; each commutator's action must be
-    reproduced by a fixed linear combination of single-generator actions.
-    The fit is overdetermined by construction (the residual flag reports any
-    failure to close rather than hiding it).
+    Exact, on the integer-gauge images of SAMPLE_STATES.  The design matrix
+    (generator images, one row per sample state and target label) does not
+    depend on the pair: ten independent rows are inverted once, each pair
+    a < b is solved by one mat-vec, and the solution is then checked on
+    every row of every sample state.
     """
-    states = [BasisIndex(*s) for s in (sample_states or default_sample_states())]
-    if len(set(states)) < 12:
-        raise ValueError(f"need at least 12 distinct sample states (got {len(set(states))})")
-    if any(n < 0 or p < 0 for n, p in states):
-        raise ValueError("sample states must have non-negative labels")
+    gens, dim = SO32_GENERATORS, len(SO32_GENERATORS)
+    images = [[apply_exact(g, exact_state(*s)) for s in SAMPLE_STATES] for g in gens]
+    keys = [
+        (i, t)
+        for i in range(len(SAMPLE_STATES))
+        for t in sorted({t for image in images for t in image[i]})
+    ]
+    design = [[image[i].get(t, 0) for image in images] for i, t in keys]
+    # The pivot columns of the transpose are the first independent rows.
+    _, rows = _row_reduce(list(zip(*design)))
+    if len(rows) < dim:
+        raise RuntimeError("sample states underdetermine the generator expansion")
+    solve = _inverse([design[k] for k in rows])
 
-    gens = SO32_GENERATORS
-    images = {
-        (gi, s): _float_vec(s, apply_exact(g, exact_state(*s)))
-        for gi, g in enumerate(gens)
-        for s in states
-    }
-    base_labels = {s: sorted({k for gi in range(len(gens)) for k in images[(gi, s)]})
-                   for s in states}
-
-    # The design matrix is pair-independent; check solvability once.
-    rows = []
-    for s in states:
-        for label in base_labels[s]:
-            rows.append([images[(gi, s)].get(label, 0.0) for gi in range(len(gens))])
-    design = np.array(rows)
-    if np.linalg.matrix_rank(design) < len(gens):
-        raise ValueError("sample states underdetermine the generator expansion")
-
-    dim = len(gens)
-    table = np.zeros((dim, dim, dim))
-    max_res = 0.0
-    worst = (gens[0], gens[1])
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            comm = {
-                s: _float_vec(s, commutator_exact(gens[a], gens[b], exact_state(*s)))
-                for s in states
-            }
-            mat_rows = []
-            rhs = []
-            for s in states:
-                labels = sorted(set(base_labels[s]) | set(comm[s]))
-                for label in labels:
-                    mat_rows.append([images[(gi, s)].get(label, 0.0) for gi in range(dim)])
-                    rhs.append(comm[s].get(label, 0.0))
-            mat = np.array(mat_rows)
-            vec = np.array(rhs)
-            coeffs, *_ = np.linalg.lstsq(mat, vec, rcond=None)
-            residual = float(np.max(np.abs(mat @ coeffs - vec))) if len(vec) else 0.0
-            if residual > max_res:
-                max_res = residual
-                worst = (gens[a], gens[b])
-            table[a, b] = coeffs
-            table[b, a] = -coeffs
-    return StructureConstants(
-        generators=gens,
-        table=table,
-        max_fit_residual=max_res,
-        worst_pair=worst,
-        residual_flag=max_res > tolerance,
-        fit_tolerance=tolerance,
-        sample_states=tuple(states),
-    )
+    table = [[[Fraction(0)] * dim for _ in gens] for _ in gens]
+    worst, witness = Fraction(0), None
+    for a, b in combinations(range(dim), 2):
+        comm = [commutator_exact(gens[a], gens[b], exact_state(*s)) for s in SAMPLE_STATES]
+        rhs = [comm[keys[k][0]].get(keys[k][1], 0) for k in rows]
+        coeffs = [Fraction(sum(v * c for v, c in zip(row, rhs) if c)) for row in solve]
+        table[a][b], table[b][a] = coeffs, [-c for c in coeffs]
+        for i, s in enumerate(SAMPLE_STATES):
+            gap = dict(comm[i])
+            for c, image in zip(coeffs, images):
+                for t, v in image[i].items() if c else ():
+                    gap[t] = gap.get(t, 0) - c * v
+            worst = max([worst, *map(abs, gap.values())])
+            if witness is None and any(gap.values()):
+                witness = ((gens[a], gens[b]), s)
+    cases = dim * (dim - 1) // 2 * len(SAMPLE_STATES)
+    return StructureConstants(gens, table, worst, witness, cases)
 
 
-def killing_form(sc: StructureConstants) -> np.ndarray:
+def killing_form(sc: StructureConstants) -> list[list[Fraction]]:
     """B_ab = sum_cd f_ac^d f_bd^c from the derived constants."""
-    t = sc.table
-    return np.einsum("acd,bdc->ab", t, t)
+    t, r = sc.table, range(len(sc.generators))
+    return [[sum(v * t[b][d][c] for c in r for d, v in sc.nonzero[a][c]) for b in r] for a in r]
 
 
-def su2_block_scale(sc: StructureConstants) -> tuple[float, float]:
+def su2_block_scale(sc: StructureConstants) -> tuple[Fraction, Fraction]:
     """Proportionality factor of the su(2) subblock of the Killing form.
 
     Returns (scale, residual): the block should equal scale times the
     standard su(2) Killing form (diagonal entry 2, off-diagonal pairing 4).
     """
     B = killing_form(sc)
-    gens = list(sc.generators)
-    i3 = gens.index(OperatorName.J3)
-    ip = gens.index(OperatorName.Jplus)
-    im = gens.index(OperatorName.Jminus)
-    scale = B[i3, i3] / 2.0
-    reference = np.zeros((3, 3))
-    reference[0, 0] = 2.0
-    reference[1, 2] = reference[2, 1] = 4.0
-    block = np.array(
-        [
-            [B[i3, i3], B[i3, ip], B[i3, im]],
-            [B[ip, i3], B[ip, ip], B[ip, im]],
-            [B[im, i3], B[im, ip], B[im, im]],
-        ]
-    )
-    residual = float(np.max(np.abs(block - scale * reference)))
-    return float(scale), residual
+    spin = (OperatorName.J3, OperatorName.Jplus, OperatorName.Jminus)
+    i3, ip, im = map(sc.generators.index, spin)
+    scale = Fraction(B[i3][i3], 2)
+    reference = {(i3, i3): 2, (ip, im): 4, (im, ip): 4}
+    block = product((i3, ip, im), repeat=2)
+    return scale, max(abs(B[i][j] - scale * reference.get((i, j), 0)) for i, j in block)
 
 
-def killing_casimir(sc: StructureConstants, idx: tuple[int, int], tol: float = 1e-10) -> float:
-    """Eigenvalue of the quadratic Casimir built from the inverse Killing form.
+def killing_casimir(sc: StructureConstants, idx: tuple[int, int]) -> Fraction:
+    """Exact eigenvalue of the quadratic Casimir g^{ab} X_a X_b on one state.
 
-    The bilinear form is rescaled so its su(2) subblock reproduces the
-    standard spin Casimir j(j+1); the eigenvalue is reported in that
-    normalization.  Raises when the form is singular or the state is not an
-    eigenvector.
+    g^{ab} is ``sc.casimir_metric``, in the normalization of the spin
+    Casimir.  Raises when the constants carry a closure failure, the Killing
+    form is singular, or the state is not an eigenvector.
     """
-    if sc.residual_flag:
-        raise ValueError("structure constants carry a closure-failure flag")
-    B = killing_form(sc)
-    if np.linalg.cond(B) > 1e8:
-        raise RuntimeError("Killing form is numerically singular")
-    scale, _ = su2_block_scale(sc)
-    if abs(scale) < 1e-9:
-        raise RuntimeError("degenerate su(2) block in the Killing form")
-    ginv = np.linalg.inv(B / (2.0 * scale))
-
-    n, p = idx
-    key = BasisIndex(n, p)
-    gens = sc.generators
-    acc: dict[BasisIndex, float] = {}
-    for b, gen_b in enumerate(gens):
-        vb = _float_vec(key, apply_exact(gen_b, exact_state(n, p)))
-        for a, gen_a in enumerate(gens):
-            if ginv[a, b] == 0.0:
-                continue
-            for (nn, pp), coeff in vb.items():
-                for target, elem in normalised((nn, pp), _terms(gen_a, nn, pp)).items():
-                    acc[target] = acc.get(target, 0.0) + ginv[a, b] * coeff * float(elem)
-    eigen = acc.pop(key, 0.0)
-    leak = max((abs(v) for v in acc.values()), default=0.0)
-    if leak > tol * max(1.0, abs(eigen)):
-        raise RuntimeError(f"Killing Casimir is not diagonal on {idx}: leakage {leak:.3e}")
+    if sc.witness is not None:
+        raise ValueError("structure constants carry a closure failure")
+    key, acc = BasisIndex(*idx), {}
+    for b, gen_b in enumerate(sc.generators):
+        image = apply_exact(gen_b, exact_state(*key))
+        for a, gen_a in enumerate(sc.generators):
+            g_ab = sc.casimir_metric[a][b]
+            for target, coeff in apply_exact(gen_a, image).items() if g_ab else ():
+                acc[target] = acc.get(target, 0) + g_ab * coeff
+    eigen = Fraction(acc.pop(key, 0))
+    if leak := [tuple(target) for target, coeff in acc.items() if coeff]:
+        raise RuntimeError(
+            f"Killing Casimir is not diagonal on {tuple(key)}: leakage onto {leak[0]}"
+        )
     return eigen

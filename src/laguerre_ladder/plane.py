@@ -150,7 +150,10 @@ def eval_Z(idx: ModeIndex, r: float, phi: float) -> complex:
     idx = _check_mode(ModeIndex(*idx))
     if r < 0:
         raise ValueError(f"r must be non-negative (got {r})")
-    return cmath.exp(1j * idx.m * phi) * evaluate(radial_carrier(idx), r * r)
+    x = r * r
+    if math.isinf(x):
+        return 0j  # the exp(-r**2 / 2) factor has long underflowed
+    return cmath.exp(1j * idx.m * phi) * evaluate(radial_carrier(idx), x)
 
 
 def radial_de_residual(idx: ModeIndex, r: float) -> float:

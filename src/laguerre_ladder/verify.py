@@ -24,12 +24,13 @@ from .radicals import SqrtSum
 SUITE_NAMES = ("exact", "algebra", "quadrature", "plane", "so32")
 
 
-def _exact_check(residual: float) -> dict:
+def _exact_check(residual) -> dict:
+    """A check that passes only at a residual of exactly zero (float or Fraction)."""
     return {
         "mode": "exact",
-        "max_residual": residual,
+        "max_residual": float(residual),
         "tolerance": 0.0,
-        "pass": residual == 0.0,
+        "pass": residual == 0,
     }
 
 
@@ -430,42 +431,33 @@ def suite_plane(jmax: int = 6, radial_order: int = 64, angular: int = 64) -> dic
 # ---------------------------------------------------------------------------
 
 
-def suite_so32(tolerance: float = 1e-9) -> dict:
+def suite_so32() -> dict:
     checks: dict[str, dict] = {}
-    sc = opalgebra.derive_structure_constants(tolerance=tolerance)
-    pair = f"[{sc.worst_pair[0].value},{sc.worst_pair[1].value}]"
-    checks["commutator-closure"] = {
-        "mode": "float",
-        "max_residual": sc.max_fit_residual,
-        "tolerance": tolerance,
-        "worst_pair": pair,
-        "pass": not sc.residual_flag,
-    }
-    checks["antisymmetry"] = _float_check(sc.antisymmetry_residual(), tolerance)
-    checks["jacobi-identity"] = _float_check(sc.jacobi_residual(), tolerance)
+    sc = opalgebra.derive_structure_constants()
+    closure = _exact_check(sc.closure_residual)
+    closure["cases"] = sc.cases
+    if sc.witness is not None:
+        (op_a, op_b), state = sc.witness
+        closure["witness"] = {"pair": f"[{op_a.value},{op_b.value}]", "state": list(state)}
+    checks["commutator-closure"] = closure
+    checks["antisymmetry"] = _exact_check(sc.antisymmetry_residual())
+    checks["jacobi-identity"] = _exact_check(sc.jacobi_residual())
 
-    if sc.residual_flag:
+    if sc.witness is not None:
         # Downstream quantities are meaningless on a broken algebra.
+        reason = f"closure failed at {closure['witness']['pair']} on {tuple(state)}"
         for name in ("killing-su2-block", "killing-casimir-constancy", "killing-casimir-value"):
-            checks[name] = {
-                "mode": "float",
-                "max_residual": float("inf"),
-                "tolerance": tolerance,
-                "pass": False,
-                "skipped_reason": f"closure failed at {pair}",
-            }
+            checks[name] = {**_exact_check(math.inf), "skipped_reason": reason}
         return checks
 
     _, block_residual = opalgebra.su2_block_scale(sc)
-    checks["killing-su2-block"] = _float_check(block_residual, 1e-10)
+    checks["killing-su2-block"] = _exact_check(block_residual)
 
     states = [(0, 0), (1, 2), (2, 4), (5, 3), (3, 3), (4, 1)]
-    values = [float(opalgebra.killing_casimir(sc, s)) for s in states]
-    spread = max(values) - min(values)
-    checks["killing-casimir-constancy"] = _float_check(spread, 1e-10)
-    worst = max(abs(v + 1.25) for v in values)
-    record = _float_check(worst, 1e-8)
-    record["eigenvalue"] = values[0]
+    values = [opalgebra.killing_casimir(sc, s) for s in states]
+    checks["killing-casimir-constancy"] = _exact_check(max(values) - min(values))
+    record = _exact_check(max(abs(v + Fraction(5, 4)) for v in values))
+    record["eigenvalue"] = float(values[0])
     record["reference"] = -1.25
     checks["killing-casimir-value"] = record
     return checks

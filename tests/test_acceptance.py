@@ -164,21 +164,29 @@ def test_criterion_7_plane_suite():
 def test_criterion_8_so32_closure_and_killing_casimir():
     started = time.time()
     sc = opalgebra.derive_structure_constants()
-    states = [(0, 0), (2, 4), (5, 3), (1, 2), (3, 3), (6, 2)]
-    values = [opalgebra.killing_casimir(sc, s) for s in states]
-    spread = max(values) - min(values)
-    gap = max(abs(v + 1.25) for v in values)
+    entries = {v for rows in sc.table for row in rows for v in row}
+    killing = {v for row in opalgebra.killing_form(sc) for v in row}
+    values = {
+        (n, p): opalgebra.killing_casimir(sc, (n, p)) for n in range(13) for p in range(13)
+    }
+    with opalgebra.injected_defect("jplus-sign"):
+        broken = verify.suite_so32()["commutator-closure"]
     ok = (
-        len(sc.sample_states) >= 12
-        and sc.max_fit_residual < 1e-9
-        and sc.antisymmetry_residual() < 1e-9
-        and sc.jacobi_residual() < 1e-9
-        and spread < 1e-10
-        and gap < 1e-8
+        sc.witness is None
+        and sc.closure_residual == 0
+        and sc.antisymmetry_residual() == 0
+        and sc.jacobi_residual() == 0
+        and entries == {0, 1, -1, 2, -2, 4, -4}
+        and killing == {-24, -12, 0, 6, 12}
+        and set(values.values()) == {Fraction(-5, 4)}
+        and broken["mode"] == "exact"
+        and broken["pass"] is False
+        and broken["witness"] == {"pair": "[J+,R-]", "state": [3, 2]}
     )
     _report(
         8,
-        f"so(3,2) closure (fit {sc.max_fit_residual:.2e}, casimir {values[0]:+.10f} vs -5/4)",
+        f"so(3,2) closure (exact, {sc.cases} pair-state checks, casimir "
+        f"{values[0, 0]} vs -5/4 on {len(values)} states)",
         ok,
         started,
     )

@@ -6,6 +6,10 @@ import pytest
 from laguerre_ladder.cli import main
 
 
+M_LABELS = ["--family", "M", "--n", "2", "--alpha", "1"]
+Z_LABELS = ["--family", "Z", "--j", "1", "--m", "1"]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -33,6 +37,13 @@ def test_eval_plane_mode(capsys):
     assert im == 0.0
 
 
+@pytest.mark.parametrize("r", ["1e3", "1.4e154", "1e200"])
+def test_eval_plane_mode_far_out_underflows_to_zero(capsys, r):
+    # From r = 1.4e154 on, r * r overflows; the value has underflowed long before.
+    code, out, err = run(capsys, "eval", *Z_LABELS, "--r", r, "--phi", "0")
+    assert (code, out, err) == (0, "0,0\n", "")
+
+
 def test_eval_invalid_labels(capsys):
     code, _, err = run(
         capsys, "eval", "--family", "M", "--n", "1", "--alpha", "-5", "--x", "1"
@@ -56,10 +67,6 @@ def test_eval_missing_option(capsys):
     code, _, err = run(capsys, "eval", "--family", "M", "--n", "1", "--x", "1")
     assert code == 2
     assert "--alpha" in err
-
-
-M_LABELS = ["--family", "M", "--n", "2", "--alpha", "1"]
-Z_LABELS = ["--family", "Z", "--j", "1", "--m", "1"]
 
 
 @pytest.mark.parametrize(
@@ -99,7 +106,30 @@ def test_table_rows(capsys):
     assert float(lines[3].split(",")[1]) == pytest.approx(-math.exp(-1.0), rel=1e-15)
 
 
+def test_table_points_bounded_before_allocation(capsys):
+    # 10**20 points would need about an exabyte; the bound rejects it first.
+    code, out, err = run(capsys, "table", *M_LABELS, "--xmax", "2", "--points", str(10**20))
+    assert code == 2
+    assert out == ""
+    assert err == "error: --points must be at most 1000000 (got 100000000000000000000)\n"
+
+
 # -- verify -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--suite", "algebra", "--nmax", "-1"], "--nmax"),
+        (["--suite", "exact", "--nmax", "0", "--alpha-max", "-1"], "--alpha-max"),
+        (["--suite", "plane", "--jmax", "-1"], "--jmax"),
+    ],
+)
+def test_verify_rejects_negative_sizes(capsys, argv, flag):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be non-negative (got -1)\n"
 
 
 def test_verify_exact_suite(capsys):
@@ -124,8 +154,19 @@ def test_verify_so32_names_value(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "so32")
     assert code == 0
     checks = json.loads(out)["suites"]["so32"]
-    assert checks["killing-casimir-value"]["eigenvalue"] == pytest.approx(-1.25, abs=1e-8)
+    assert all(c["mode"] == "exact" and c["max_residual"] == 0.0 for c in checks.values())
+    assert checks["killing-casimir-value"]["eigenvalue"] == -1.25
     assert checks["killing-casimir-value"]["reference"] == -1.25
+
+
+def test_verify_so32_defect_names_pair_and_state(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "so32", "--defect", "jplus-sign")
+    assert code == 1
+    closure = json.loads(out)["suites"]["so32"]["commutator-closure"]
+    assert closure["mode"] == "exact"
+    assert closure["pass"] is False
+    assert closure["witness"] == {"pair": "[J+,R-]", "state": [3, 2]}
+    assert "FAILED so32/commutator-closure" in err
 
 
 def test_verify_defect_fails_and_names_identity(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -330,64 +331,92 @@ def constants():
 
 
 def test_closure_residual(constants):
-    assert constants.max_fit_residual < 1e-9
-    assert not constants.residual_flag
+    assert constants.closure_residual == 0
+    assert constants.witness is None
+    assert constants.cases == 45 * len(oa.SAMPLE_STATES) == 540
 
 
 def test_antisymmetry_and_jacobi(constants):
-    assert constants.antisymmetry_residual() < 1e-9
-    assert constants.jacobi_residual() < 1e-9
+    assert constants.antisymmetry_residual() == 0
+    assert constants.jacobi_residual() == 0
 
 
-def _coefficient(constants, op_a, op_b, op_c):
-    gens = list(constants.generators)
-    return constants.table[gens.index(op_a), gens.index(op_b), gens.index(op_c)]
+def _row(constants, op_a, op_b):
+    gens = constants.generators
+    return dict(zip(gens, constants.table[gens.index(op_a)][gens.index(op_b)]))
 
 
 def test_fitted_pairs_match_known_relations(constants):
-    gens = list(constants.generators)
-    row = constants.table[gens.index(Op.Kplus), gens.index(Op.Kminus)]
-    expected = np.zeros(len(gens))
-    expected[gens.index(Op.K3)] = -2.0
-    assert np.max(np.abs(row - expected)) < 1e-9
+    zero = dict.fromkeys(constants.generators, 0)
+    assert _row(constants, Op.Kplus, Op.Kminus) == zero | {Op.K3: -2}
     # The double-step diagonal is not a basis member; it appears as its
     # decomposition over the two diagonal generators.
-    row = constants.table[gens.index(Op.Rplus), gens.index(Op.Rminus)]
-    expected = np.zeros(len(gens))
-    expected[gens.index(Op.J3)] = -4.0
-    expected[gens.index(Op.K3)] = -4.0
-    assert np.max(np.abs(row - expected)) < 1e-9
-    row = constants.table[gens.index(Op.Rplus), gens.index(Op.Splus)]
-    assert np.max(np.abs(row)) < 1e-9
+    assert _row(constants, Op.Rplus, Op.Rminus) == zero | {Op.J3: -4, Op.K3: -4}
+    assert _row(constants, Op.Rplus, Op.Splus) == zero
+
+
+def test_table_and_killing_entries_are_exact_integers(constants):
+    entries = {v for rows in constants.table for row in rows for v in row}
+    assert all(isinstance(v, Fraction) for v in entries)
+    assert entries == {0, 1, -1, 2, -2, 4, -4}
+    killing = {v for row in oa.killing_form(constants) for v in row}
+    assert killing == {-24, -12, 0, 6, 12}
+
+
+def test_table_reproduces_every_commutator_beyond_the_sample_states(constants):
+    gens = constants.generators
+    for n in range(13):
+        for p in range(13):
+            state = oa.exact_state(n, p)
+            images = [oa.apply_exact(g, state) for g in gens]
+            for a in range(len(gens)):
+                for b in range(a + 1, len(gens)):
+                    expansion: dict = {}
+                    for c, image in zip(constants.table[a][b], images):
+                        for t, v in image.items():
+                            expansion[t] = expansion.get(t, 0) + c * v
+                    expansion = {t: v for t, v in expansion.items() if v}
+                    assert oa.commutator_exact(gens[a], gens[b], state) == expansion, (a, b, n, p)
+
+
+def test_exact_inverse(constants):
+    killing = oa.killing_form(constants)
+    inverse = oa._inverse(killing)
+    size = len(killing)
+    for i in range(size):
+        for j in range(size):
+            assert sum(killing[i][k] * inverse[k][j] for k in range(size)) == (i == j)
+    with pytest.raises(RuntimeError, match="singular"):
+        oa._inverse([[1, 2], [2, 4]])
 
 
 def test_killing_block_proportional_to_spin_form(constants):
-    scale, residual = oa.su2_block_scale(constants)
-    assert residual < 1e-10
-    assert scale == pytest.approx(3.0, rel=1e-12)
+    assert oa.su2_block_scale(constants) == (3, 0)
 
 
 def test_killing_casimir_value_and_constancy(constants):
-    values = [oa.killing_casimir(constants, s) for s in [(0, 0), (2, 4), (5, 3), (1, 2)]]
-    assert max(values) - min(values) < 1e-10
-    for v in values:
-        assert v == pytest.approx(-1.25, abs=1e-8)
+    for n in range(13):
+        for p in range(13):
+            assert oa.killing_casimir(constants, (n, p)) == Fraction(-5, 4), (n, p)
 
 
-def test_underdetermined_sample_set_rejected():
-    with pytest.raises(ValueError, match="12"):
-        oa.derive_structure_constants(sample_states=[(2, 2), (3, 3)])
+def test_killing_casimir_names_leakage(constants):
+    sc = dataclasses.replace(constants)
+    # sum_a X_a X_a is not a Casimir: J+ J+ moves (2, 2) to (4, 0).
+    sc.casimir_metric = [[int(a == b) for b in range(10)] for a in range(10)]
+    with pytest.raises(RuntimeError, match=r"not diagonal on \(2, 2\): leakage onto \("):
+        oa.killing_casimir(sc, (2, 2))
 
 
 def test_injected_defect_breaks_closure_detection():
-    states = list(oa.default_sample_states())[:-1] + [(1, 2)]
     with oa.injected_defect("jplus-sign"):
-        sc = oa.derive_structure_constants(sample_states=states)
-        assert sc.residual_flag
+        sc = oa.derive_structure_constants()
+        assert sc.witness == ((Op.Jplus, Op.Rminus), BasisIndex(3, 2))
+        assert sc.closure_residual > 0
         with pytest.raises(ValueError, match="closure"):
             oa.killing_casimir(sc, (2, 2))
-    sc = oa.derive_structure_constants(sample_states=states)
-    assert not sc.residual_flag
+    sc = oa.derive_structure_constants()
+    assert sc.witness is None
 
 
 def test_unknown_defect_rejected():
