@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -44,6 +45,10 @@ def _carrier_for_alpha(n: int, alpha: int):
     return carrier_M(n, n + alpha)
 
 
+# Built once per process and reused by every `main` call: parsing leaves the
+# parser unchanged as long as every default is immutable (an `append` option
+# with a list default would accumulate across calls).
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="laguerre-ladder",
@@ -189,7 +194,7 @@ def cmd_verify(args) -> int:
     finally:
         opalgebra.set_injected_defect(None)
     out = {"version": __version__, **report}
-    print(json.dumps(out, indent=2))
+    print(json.dumps(out, indent=2, allow_nan=False))
     if not report["all_pass"]:
         for suite, checks in report["suites"].items():
             for name, check in checks.items():

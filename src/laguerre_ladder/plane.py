@@ -19,9 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import opalgebra
-from .basis import BasisIndex, Carrier, carrier_L, evaluate, evaluate_derivative, weightless_values
+from .basis import BasisIndex, Carrier, carrier_L, evaluate, evaluate_derivative
 from .opalgebra import OperatorName
-from .quadrature import QuadratureRule, gauss_laguerre
+from .quadrature import QuadratureRule, gauss_laguerre, node_values
 
 
 class ModeIndex(NamedTuple):
@@ -196,20 +196,12 @@ def radial_de_scale(idx: ModeIndex, r: float) -> float:
 
 
 def radial_samples(modes: list[ModeIndex], grid: PolarGrid) -> list[np.ndarray]:
-    """`weightless_values` of each mode's radial carrier on the radial nodes.
+    """`node_values` of each mode's radial carrier on the radial rule.
 
-    Computed once per distinct carrier: (j, m) and (j, -m) share one, since
-    n - p = 2m is even and the label swap carries sign +1.  Carrier equality
-    ignores the label, so the carrier itself is the key.
+    (j, m) and (j, -m) share one array: n - p = 2m is even, so the label
+    swap carries sign +1, and carrier equality ignores the label.
     """
-    samples: dict[Carrier, np.ndarray] = {}
-    out = []
-    for idx in modes:
-        c = radial_carrier(idx)
-        if c not in samples:
-            samples[c] = weightless_values(c, grid.radial_x)
-        out.append(samples[c])
-    return out
+    return [node_values(radial_carrier(idx), grid.rule) for idx in modes]
 
 
 def inner_product_2d(idxA: ModeIndex, idxB: ModeIndex, grid: PolarGrid) -> complex:
@@ -221,8 +213,8 @@ def inner_product_2d(idxA: ModeIndex, idxB: ModeIndex, grid: PolarGrid) -> compl
     angular = sum(cmath.exp(1j * d * phi) for phi in grid.angular_nodes) / grid.angular_count
     # The exp(-x/2) factors pair into the rule's exp(-x) weight, so the
     # radial sum is the exact polynomial integral.
-    ya = weightless_values(radial_carrier(idxA), grid.radial_x)
-    yb = weightless_values(radial_carrier(idxB), grid.radial_x)
+    ya = node_values(radial_carrier(idxA), grid.rule)
+    yb = node_values(radial_carrier(idxB), grid.rule)
     radial = math.fsum(w * a * b for w, a, b in zip(grid.radial_weights, ya, yb))
     return angular * radial
 

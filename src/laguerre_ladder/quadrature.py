@@ -10,7 +10,7 @@ exact polynomial, which an order-n rule integrates exactly through degree
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,6 +21,7 @@ from .exactpoly import LaurentPoly, laguerre
 from .radicals import float_sqrt
 
 _MAX_ORDER = 200
+_MAX_SAMPLES = 1024  # cached (carrier, rule) samples; see node_values
 _SMALLEST_POSITIVE = 5e-324  # weights below double range are clamped here
 
 
@@ -30,6 +31,7 @@ class QuadratureRule:
 
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -42,6 +44,11 @@ class QuadratureRule:
             raise RuntimeError("quadrature weights are not positive")
         if abs(math.fsum(self.weights) - 1.0) > 1e-13:
             raise RuntimeError("quadrature weights do not sum to 1")
+        # Hashed once: every node_values lookup hashes its rule.
+        object.__setattr__(self, "_hash", hash((self.nodes, self.weights)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def integrate(self, f) -> float:
         return math.fsum(w * f(x) for x, w in zip(self.nodes, self.weights))
@@ -111,6 +118,19 @@ def gauss_laguerre(order: int) -> QuadratureRule:
         denom = (order + 1) * above.exact_at(z)
         weights.append(max(float(Fraction(z) / (denom * denom)), _SMALLEST_POSITIVE))
     return QuadratureRule(nodes=tuple(nodes), weights=tuple(weights))
+
+
+@lru_cache(maxsize=_MAX_SAMPLES)
+def node_values(c: Carrier, rule: QuadratureRule) -> np.ndarray:
+    """`weightless_values` of the carrier on the rule's nodes, computed once.
+
+    Keyed by the carrier and the rule by value: a rule built by hand with
+    other nodes gets its own samples even at the same order.  The arrays are
+    shared by every caller, so they are read-only.
+    """
+    values = weightless_values(c, rule.nodes)
+    values.flags.writeable = False
+    return values
 
 
 def _required_order(degree: int) -> int:
@@ -183,7 +203,7 @@ def gram_matrix(alpha: int, nmax: int, rule: QuadratureRule) -> np.ndarray:
         raise ValueError(
             f"rule order {rule.order} insufficient for the family; need at least {need}"
         )
-    values = np.vstack([weightless_values(c, rule.nodes) for c in carriers])
+    values = np.vstack([node_values(c, rule) for c in carriers])
     w = np.array(rule.weights)
     return (values * w) @ values.T
 
@@ -213,8 +233,8 @@ def projection_convergence(
             f"need at least {need}"
         )
     w = np.array(rule.weights)
-    residual = weightless_values(target, rule.nodes)
-    member_values = [weightless_values(c, rule.nodes) for c in members]
+    residual = node_values(target, rule)
+    member_values = [node_values(c, rule) for c in members]
     residuals: list[float] = []
     for k in range(0, max_n + 1):
         if k >= n0:

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from laguerre_ladder import cli
 from laguerre_ladder.cli import main
 
 
@@ -169,6 +174,21 @@ def test_verify_so32_defect_names_pair_and_state(capsys):
     assert "FAILED so32/commutator-closure" in err
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+def test_verify_defect_report_is_strict_json(capsys):
+    # The Killing checks are skipped once closure fails; they measured nothing.
+    code, out, _ = run(capsys, "verify", "--suite", "so32", "--defect", "jplus-sign")
+    assert code == 1
+    checks = json.loads(out, parse_constant=_reject_constant)["suites"]["so32"]
+    for name in ("killing-su2-block", "killing-casimir-constancy", "killing-casimir-value"):
+        assert checks[name]["max_residual"] is None
+        assert checks[name]["pass"] is False
+        assert "skipped_reason" in checks[name]
+
+
 def test_verify_defect_fails_and_names_identity(capsys):
     code, out, err = run(
         capsys, "verify", "--suite", "algebra", "--nmax", "4", "--defect", "jplus-sign"
@@ -304,3 +324,38 @@ def test_modes_bad_header(tmp_path, capsys):
     code, _, err = run(capsys, "modes", "--input", str(path))
     assert code == 2
     assert "line 1" in err
+
+
+# -- parser reuse ------------------------------------------------------------------
+
+
+def test_parser_is_built_once_across_calls(capsys):
+    cli._build_parser.cache_clear()
+    for _ in range(3):
+        run(capsys, "eval", *M_LABELS, "--x", "1")
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_repeated_append_option_does_not_accumulate(capsys):
+    for _ in range(2):
+        code, out, _ = run(capsys, "eval", *M_LABELS, "--x", "1", "--x", "2")
+        assert code == 0
+        assert len(out.splitlines()) == 2
+
+
+def test_call_after_usage_error_matches_fresh_process(capsys):
+    argv = ["table", *M_LABELS, "--xmax", "3", "--points", "5"]
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--family", "Q", "--xmax", "3"])  # argparse rejects the choice
+    assert exc.value.code == 2
+    assert run(capsys, "eval", *M_LABELS, "--x", "-1")[0] == 2  # rejected by the command
+    code, out, err = run(capsys, *argv)
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    fresh = subprocess.run(
+        [sys.executable, "-m", "laguerre_ladder", *argv], capture_output=True, text=True, env=env
+    )
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)

@@ -13,8 +13,10 @@ import pytest
 from laguerre_ladder import cli, plane
 from laguerre_ladder.basis import weightless_values
 from laguerre_ladder.cli import main
+from laguerre_ladder.exactpoly import LaurentPoly
 from laguerre_ladder.opalgebra import OperatorName
 from laguerre_ladder.plane import Field2D, ModeCoefficients, ModeIndex, PolarGrid
+from laguerre_ladder.quadrature import node_values
 
 
 def run(capsys, *argv):
@@ -113,8 +115,25 @@ def test_radial_samples_match_per_mode_values():
     modes = plane.modes_up_to(8)
     got = plane.radial_samples(modes, grid)
     for idx, values in zip(modes, got):
+        assert values is node_values(plane.radial_carrier(idx), grid.rule)
         want = weightless_values(plane.radial_carrier(idx), grid.radial_x)
         assert [v.hex() for v in values.tolist()] == [v.hex() for v in want.tolist()]
+
+
+def test_second_decompose_evaluates_no_polynomial(monkeypatch):
+    grid = PolarGrid.build(96, 64)
+    coeffs = ModeCoefficients(coeffs={idx: 1.0 for idx in plane.modes_up_to(8)}, jmax=8)
+    fld = plane.reconstruct(coeffs, grid)
+    first = plane.decompose(fld, 8)
+
+    calls = []
+    eval_float = LaurentPoly.eval_float
+    monkeypatch.setattr(
+        LaurentPoly, "eval_float", lambda poly, x: calls.append(x) or eval_float(poly, x)
+    )
+    second = plane.decompose(Field2D(grid=PolarGrid.build(96, 64), values=fld.values), 8)
+    assert calls == []
+    assert second.coeffs == first.coeffs
 
 
 def test_opposite_m_modes_share_one_radial_sample():

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laguerre_ladder.basis import Carrier, carrier_M
+from laguerre_ladder.basis import Carrier, carrier_M, weightless_values
 from laguerre_ladder.exactpoly import LaurentPoly, laguerre
 from laguerre_ladder.quadrature import (
+    QuadratureRule,
     gauss_laguerre,
     gram_matrix,
     inner_product,
+    node_values,
     projection_convergence,
     weighted_inner_product,
 )
@@ -114,6 +116,28 @@ def test_norm_formula(rule64):
             got = weighted_inner_product(poly, poly, alpha, rule64)
             want = Fraction(factorial(n + alpha), factorial(n))
             assert abs(got / float(want) - 1.0) < 1e-11, (alpha, n)
+
+
+def test_node_values_are_the_carrier_values_read_only(rule64):
+    c = carrier_M(3, 7)
+    got = node_values(c, rule64)
+    want = weightless_values(c, rule64.nodes)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+    assert node_values(c, rule64) is got
+    with pytest.raises(ValueError):
+        got[0] = 0.0
+
+
+def test_node_values_key_the_rule_by_value(rule64):
+    c = carrier_M(2, 4)
+    # Same order and weights, nodes scaled: another rule, so other samples.
+    scaled = QuadratureRule(tuple(2 * x for x in rule64.nodes), rule64.weights)
+    assert scaled.order == rule64.order
+    assert node_values(c, scaled).tolist() == weightless_values(c, scaled.nodes).tolist()
+    assert node_values(c, scaled).tolist() != node_values(c, rule64).tolist()
+    # An equal rule built apart shares the cached samples.
+    twin = QuadratureRule(rule64.nodes, rule64.weights)
+    assert node_values(c, twin) is node_values(c, rule64)
 
 
 @pytest.mark.parametrize("alpha", [0, 1, 2, 5])
