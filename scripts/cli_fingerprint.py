@@ -73,6 +73,7 @@ def main() -> None:
             ["verify", "--suite", "all"],
             ["verify", "--suite", "all", "--defect", "jplus-sign"],
             ["verify", "--suite", "algebra", "--nmax", "4", "--defect", "jplus-sign"],
+            ["verify", "--suite", "exact", "--nmax", "0", "--alpha-max", "0"],
             ["gram", "--alpha", "2"],
             ["gram", "--alpha", "-3", "--nmax", "20", "--order", "128"],
             ["table", "--family", "M", "--n", "40", "--alpha", "20",

@@ -10,7 +10,9 @@ and second-order equation operators, in two realizations:
   structure constants, the Killing form and its Casimir, none of which
   depend on the basis, come out in int/Fraction arithmetic; the radical
   ring is used only to round a normalised matrix element to a float, and
-* first-order differential forms acting pointwise on carriers.
+* differential forms on carriers, applied to the exact core of each
+  carrier once (one symbolic table for the first-order forms) and then
+  evaluated pointwise.
 
 The label action is ground truth; differential forms are checked against
 it.  The quadratic composites (the double-raising and double-lowering
@@ -21,7 +23,6 @@ definitions.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -284,20 +285,13 @@ def apply_label(op: OperatorName, v: LabelVector) -> LabelVector:
 
 
 def commutator_label(opA: OperatorName, opB: OperatorName, v: LabelVector) -> LabelVector:
-    """(opA opB - opB opA) applied to v.
+    """(opA opB - opB opA) applied to v: ``commutator_action`` on its terms.
 
-    Computed through the exact channel (float coefficients are exact
-    rationals, so the lift is faithful) and converted back at the end;
-    rational-valued commutators therefore come out bit-exact.
+    Element products are exact per source state, and each state's image is
+    rounded once, so rational-valued commutators on a basis state come out
+    bit-exact.
     """
-    acc: dict[BasisIndex, SqrtSum] = {}
-    for (n, p), c in v.terms.items():
-        image = commutator_exact(opA, opB, exact_state(n, p))
-        lifted = Fraction(c)
-        for target, value in normalised((n, p), image).items():
-            term = value * lifted
-            acc[target] = acc[target] + term if target in acc else term
-    return LabelVector({k: float(val) for k, val in acc.items() if val})
+    return LabelVector(commutator_action(opA, opB, v.terms))
 
 
 def twisted_swap(v: LabelVector) -> LabelVector:
@@ -392,13 +386,27 @@ def e_residual_symbolic(n: int, p: int) -> LaurentPoly:
 # First-order differential realizations
 # ---------------------------------------------------------------------------
 
+# The first-order forms, as one symbolic table.  On the carrier of label
+# (n, p), N x**(k/2) exp(-x/2) q, the form of op gives
+# N x**((k+s)/2) exp(-x/2) (a D(q) + b q), with D = derived_core(k, .) and
+# op -> (n, p) -> (s, a, b), a and b as {power: coefficient}.
+_FIRST_ORDER_FORMS = {
+    OperatorName.Bplus: lambda n, p: (1, {0: -1}, {0: Fraction(1, 2), -1: Fraction(p - n, 2)}),
+    OperatorName.Bminus: lambda n, p: (1, {0: 1}, {0: Fraction(1, 2), -1: Fraction(p - n, 2)}),
+    OperatorName.Jplus: lambda n, p: (
+        0, {0: p - n - 1}, {-1: Fraction((n - p + 1) * (n - p), 2), 0: Fraction(-(n + p + 1), 2)}
+    ),
+    OperatorName.Jminus: lambda n, p: (
+        0, {0: n - p - 1}, {-1: Fraction((n - p - 1) * (n - p), 2), 0: Fraction(-(n + p + 1), 2)}
+    ),
+    OperatorName.Kplus: lambda n, p: (0, {1: 1}, {0: Fraction(n + p + 2, 2), 1: Fraction(-1, 2)}),
+    OperatorName.Kminus: lambda n, p: (0, {1: -1}, {0: Fraction(n + p, 2), 1: Fraction(-1, 2)}),
+}
+
+FIRST_ORDER: tuple[OperatorName, ...] = tuple(_FIRST_ORDER_FORMS)
+
 _DIFF_SUPPORTED = {
-    OperatorName.Bplus,
-    OperatorName.Bminus,
-    OperatorName.Jplus,
-    OperatorName.Jminus,
-    OperatorName.Kplus,
-    OperatorName.Kminus,
+    *FIRST_ORDER,
     OperatorName.J3,
     OperatorName.K3,
     OperatorName.R3,
@@ -411,40 +419,22 @@ _DIFF_SUPPORTED = {
 }
 
 
-FIRST_ORDER: tuple[OperatorName, ...] = (
-    OperatorName.Bplus,
-    OperatorName.Bminus,
-    OperatorName.Jplus,
-    OperatorName.Jminus,
-    OperatorName.Kplus,
-    OperatorName.Kminus,
-)
+# One verify --suite all builds 726 images: the six forms on n, p <= 10.
+@lru_cache(maxsize=1024, typed=True)
+def diff_image(op: OperatorName, n: int, p: int) -> Carrier:
+    """The differential form of op (first-order or E) applied to carrier_M(n, p).
 
-
-def first_order_form(
-    op: OperatorName, n: int, p: int, x: float, f: float, f1: float
-) -> float:
-    """A first-order ladder form at x > 0, given the carrier's value f and
-    derivative f1 there; (n, p) is the carrier's label.
-
-    Callers that apply several forms to one carrier evaluate it once.
+    Exact: the image keeps the carrier's sign, normalisation and label, with
+    the half power and core the form gives.  E's core is
+    ``e_residual_symbolic``, identically zero.
     """
-    root = math.sqrt(x)
-    if op is OperatorName.Bplus:
-        return -root * f1 + (root / 2 + (p - n) / (2 * root)) * f
-    if op is OperatorName.Bminus:
-        return root * f1 + (root / 2 + (p - n) / (2 * root)) * f
-    if op is OperatorName.Jplus:
-        d = n - p + 1
-        return -d * f1 + (d * (n - p) / (2 * x)) * f - ((n + p + 1) / 2) * f
-    if op is OperatorName.Jminus:
-        d = n - p - 1
-        return d * f1 + (d * (n - p) / (2 * x)) * f - ((n + p + 1) / 2) * f
-    if op is OperatorName.Kplus:
-        return x * f1 + ((n + p + 2 - x) / 2) * f
-    if op is OperatorName.Kminus:
-        return -x * f1 + ((n + p - x) / 2) * f
-    raise ValueError(f"operator {op.value} has no first-order form")
+    c = carrier_M(n, p)
+    if op is OperatorName.E:
+        shift, core = 0, e_residual_symbolic(n, p)
+    else:
+        shift, a, b = _FIRST_ORDER_FORMS[op](n, p)
+        core = LaurentPoly(a) * derived_core(c.half_power, c.core) + LaurentPoly(b) * c.core
+    return Carrier(c.sign, c.norm_squared, c.half_power + shift, core, c.label)
 
 
 def apply_diff(op: OperatorName, c: Carrier, x: float) -> float:
@@ -464,22 +454,17 @@ def apply_diff(op: OperatorName, c: Carrier, x: float) -> float:
     if c.label is None:
         raise ValueError("carrier has no label; differential forms need eigenvalues")
     n, p = c.label
+    if c != carrier_M(n, p):
+        raise ValueError(f"carrier is not the basis function of its label {(n, p)}")
 
     diag = _diagonal(op, n, p)
     if diag is not None:
         return float(diag) * evaluate(c, x)
-
-    f = evaluate(c, x)
     if op is OperatorName.X:
-        return x * f
-    f1 = evaluate_derivative(c, x, 1)
+        return x * evaluate(c, x)
     if op is OperatorName.Dx:
-        return f1
-    if op in FIRST_ORDER:
-        return first_order_form(op, n, p, x, f, f1)
-    # Second-order equation operator.
-    f2 = evaluate_derivative(c, x, 2)
-    return x * f2 + f1 + ((n + p + 1) / 2) * f - ((p - n) ** 2 / (4 * x)) * f - (x / 4) * f
+        return evaluate_derivative(c, x, 1)
+    return evaluate(diff_image(op, n, p), x)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import opalgebra
-from .basis import BasisIndex, Carrier, carrier_L, evaluate, evaluate_derivative
+from .basis import BasisIndex, Carrier, carrier_M, evaluate, evaluate_derivative
 from .opalgebra import OperatorName
 from .quadrature import QuadratureRule, gauss_laguerre, node_values
 
@@ -141,8 +141,8 @@ class ModeCoefficients:
 
 
 def radial_carrier(idx: ModeIndex) -> Carrier:
-    idx = _check_mode(idx)
-    return carrier_L(idx.j, idx.m)
+    j, m = _check_mode(idx)
+    return carrier_M(j + m, j - m)
 
 
 def eval_Z(idx: ModeIndex, r: float, phi: float) -> complex:
@@ -258,13 +258,14 @@ def decompose(fld: Field2D, jmax: int) -> ModeCoefficients:
     # Half of the rule's exp(-x) weight cancels the mode's own exponential;
     # the other half belongs to the sampled field.
     w = np.array(grid.radial_weights) * np.exp(x / 2)
-    coeffs: dict[ModeIndex, complex] = {}
-    fourier: dict[int, np.ndarray] = {}
-    for m in range(-jmax, jmax + 1):
-        fourier[m] = fld.values @ np.exp(-1j * m * phis) / q
+    # All 2 jmax + 1 angular sums as one product with the (angle x m) phases.
+    ms = np.arange(-jmax, jmax + 1)
+    fourier = fld.values @ np.exp(-1j * np.outer(phis, ms)) / q
     modes = modes_up_to(jmax)
-    for idx, radial in zip(modes, radial_samples(modes, grid)):
-        coeffs[idx] = complex(np.dot(w * radial, fourier[idx.m]))
+    coeffs = {
+        idx: complex(np.dot(w * radial, fourier[:, idx.m + jmax]))
+        for idx, radial in zip(modes, radial_samples(modes, grid))
+    }
     return ModeCoefficients(coeffs=coeffs, jmax=jmax)
 
 

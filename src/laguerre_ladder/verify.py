@@ -3,8 +3,10 @@
 Every suite returns an ordered mapping from identity name to a check
 record: computation mode ("exact" checks must come out identically zero,
 "float" checks carry a tolerance), the worst residual observed, and a
-pass flag.  The command-line front end renders the combined report as
-JSON and turns any failure into a nonzero exit code.
+pass flag; some also count their cases (a check of nothing fails) and
+name a witness where they first failed.  The command-line front end
+renders the combined report as JSON and turns any failure into a nonzero
+exit code.
 """
 
 from __future__ import annotations
@@ -16,22 +18,31 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from . import basis, exactpoly, opalgebra, plane, quadrature
-from .basis import BasisIndex, carrier_M
+from . import exactpoly, opalgebra, plane, quadrature
+from .basis import BasisIndex, Carrier, carrier_M
 from .opalgebra import OperatorName as Op
 from .radicals import SqrtSum
 
 SUITE_NAMES = ("exact", "algebra", "quadrature", "plane", "so32")
 
 
-def _exact_check(residual) -> dict:
-    """A check that passes only at a residual of exactly zero (float or Fraction)."""
-    return {
+def _exact_check(residual, cases: int | None = None, witness: dict | None = None) -> dict:
+    """A check that passes only at a residual of exactly zero (float or Fraction).
+
+    With ``cases`` (the number of states, pairs or points checked) it also
+    fails when nothing was checked; ``witness`` names where it failed first.
+    """
+    check = {
         "mode": "exact",
         "max_residual": float(residual),
         "tolerance": 0.0,
-        "pass": residual == 0,
+        "pass": residual == 0 and cases != 0,
     }
+    if cases is not None:
+        check["cases"] = cases
+    if witness is not None:
+        check["witness"] = witness
+    return check
 
 
 def _float_check(residual: float, tolerance: float) -> dict:
@@ -72,19 +83,22 @@ def suite_exact(nmax: int = 12, alpha_max: int = 10) -> dict:
     checks["defining-de-residual"] = _exact_check(worst)
 
     worst_up = worst_down = 0.0
+    cases = 0
     for n in range(nmax + 1):
         for a in range(1 - n, alpha_max + 1):
             up, down = exactpoly.alpha_ladder_check(n, a)
             worst_up = max(worst_up, _poly_residual(up))
             worst_down = max(worst_down, _poly_residual(down))
-    checks["ladder-raise-residual"] = _exact_check(worst_up)
-    checks["ladder-lower-residual"] = _exact_check(worst_down)
+            cases += 1
+    checks["ladder-raise-residual"] = _exact_check(worst_up, cases)
+    checks["ladder-lower-residual"] = _exact_check(worst_down, cases)
 
-    worst = 0.0
+    worst, cases = 0.0, 0
     for n in range(1, nmax + 1):
         for a in range(1 - n, alpha_max + 1):
             worst = max(worst, _poly_residual(exactpoly.three_term_residual(n, a)))
-    checks["three-term-recurrence"] = _exact_check(worst)
+            cases += 1
+    checks["three-term-recurrence"] = _exact_check(worst, cases)
 
     worst = 0.0
     for n in range(min(nmax, 20) + 1):
@@ -246,55 +260,43 @@ def suite_algebra(nmax: int = 12) -> dict:
     checks["casimir-r"] = _exact_check(casimir_residual("CR", lambda s: Fraction(-3, 4)))
     checks["casimir-s"] = _exact_check(casimir_residual("CS", lambda s: Fraction(-3, 4)))
 
-    checks["label-diff-consistency"] = _float_check(
-        label_diff_consistency(min(nmax, 10)), 1e-9
-    )
+    checks["label-diff-consistency"] = label_diff_consistency(min(nmax, 10))
     return checks
 
 
-def label_diff_consistency(nmax: int = 10, points: int = 20) -> float:
-    """Worst relative gap between the two realizations of the ladder ops.
+def label_diff_consistency(nmax: int = 10) -> dict:
+    """Each first-order form against the label action, as exact identities.
 
-    For each operator and state the differential form is sampled on
-    log-spaced points and compared with the label action expanded in
-    carriers; the gap is scaled by the largest sampled magnitude so zero
-    crossings do not inflate it.
+    In the integer gauge the state (n, p) is the function
+    sqrt(n! p!) carrier_M(n, p) = sign * min(n, p)! * x**(k/2) exp(-x/2) core.
+    The form's image of that state (``opalgebra.diff_image``) and the sum of
+    c_t times state t over the label image share the factor exp(-x/2), and
+    their half powers differ by even shifts, so the two sides are Laurent
+    polynomials compared exactly.  A mismatch's residual is the largest
+    coefficient of their difference over the larger side's largest
+    coefficient (2 for a flipped sign); the witness is the first mismatched
+    (form, state).
     """
-    xs = [float(x) for x in np.logspace(math.log10(0.05), math.log10(20.0), points)]
-    samples: dict[tuple[int, int], list[float]] = {}
+    def gauge(c: Carrier) -> int:
+        return c.sign * factorial(min(c.label))
 
-    def sampled(label: tuple[int, int]) -> list[float]:
-        """A carrier's values on xs, computed once per label."""
-        if label not in samples:
-            c = carrier_M(*label)
-            samples[label] = [basis.evaluate(c, x) for x in xs]
-        return samples[label]
-
-    worst = 0.0
+    worst, witness, cases = Fraction(0), None, 0
     for n in range(nmax + 1):
         for p in range(nmax + 1):
-            c = carrier_M(n, p)
-            state = opalgebra.LabelVector.basis_state(n, p)
-            # Annihilated states make both sides rounding dust; the input
-            # carrier's own magnitude keeps the denominator honest there.
-            f = sampled((n, p))
-            # The carrier's value and derivative, once per point for all six
-            # forms; the same numbers opalgebra.apply_diff computes.
-            f1 = [basis.evaluate_derivative(c, x, 1) for x in xs]
-            floor = max(abs(v) for v in f)
+            state = opalgebra.exact_state(n, p)
             for op in opalgebra.FIRST_ORDER:
-                image = opalgebra.apply_label(op, state)
-                gaps = []
-                scale = floor
-                for i, x in enumerate(xs):
-                    lhs = opalgebra.first_order_form(op, n, p, x, f[i], f1[i])
-                    rhs = sum(
-                        coeff * sampled(label)[i] for label, coeff in image.terms.items()
-                    )
-                    gaps.append(abs(lhs - rhs))
-                    scale = max(scale, abs(lhs), abs(rhs))
-                worst = max(worst, max(gaps) / scale)
-    return worst
+                image = opalgebra.diff_image(op, n, p)
+                lhs, rhs = gauge(image) * image.core, exactpoly.LaurentPoly()
+                for t, coeff in opalgebra.apply_exact(op, state).items():
+                    c = carrier_M(*t)
+                    shift = (c.half_power - image.half_power) // 2
+                    rhs = rhs + (coeff * gauge(c)) * c.core.shift(shift)
+                if lhs != rhs:
+                    scale = max(lhs.max_abs_coefficient(), rhs.max_abs_coefficient())
+                    worst = max(worst, (lhs - rhs).max_abs_coefficient() / scale)
+                    witness = witness or {"op": op.value, "state": [n, p]}
+                cases += 1
+    return _exact_check(worst, cases, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +436,11 @@ def suite_plane(jmax: int = 6, radial_order: int = 64, angular: int = 64) -> dic
 def suite_so32() -> dict:
     checks: dict[str, dict] = {}
     sc = opalgebra.derive_structure_constants()
-    closure = _exact_check(sc.closure_residual)
-    closure["cases"] = sc.cases
+    witness = None
     if sc.witness is not None:
         (op_a, op_b), state = sc.witness
-        closure["witness"] = {"pair": f"[{op_a.value},{op_b.value}]", "state": list(state)}
+        witness = {"pair": f"[{op_a.value},{op_b.value}]", "state": list(state)}
+    closure = _exact_check(sc.closure_residual, sc.cases, witness)
     checks["commutator-closure"] = closure
     checks["antisymmetry"] = _exact_check(sc.antisymmetry_residual())
     checks["jacobi-identity"] = _exact_check(sc.jacobi_residual())

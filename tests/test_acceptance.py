@@ -88,9 +88,15 @@ def test_criterion_4_algebra_suite_exact():
 
 def test_criterion_5_label_differential_consistency():
     started = time.time()
-    worst = verify.label_diff_consistency(nmax=10, points=20)
-    ok = worst < 1e-9
-    _report(5, f"label/differential agreement (worst {worst:.2e})", ok, started)
+    check = verify.label_diff_consistency(nmax=10)
+    ok = check == {
+        "mode": "exact",
+        "max_residual": 0.0,
+        "tolerance": 0.0,
+        "pass": True,
+        "cases": 726,
+    }
+    _report(5, "label/differential agreement, exact on 726 cases", ok, started)
     assert ok
 
 

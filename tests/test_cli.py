@@ -189,6 +189,28 @@ def test_verify_defect_report_is_strict_json(capsys):
         assert "skipped_reason" in checks[name]
 
 
+def test_verify_check_of_nothing_fails(capsys):
+    # At nmax 0 and alpha-max 0 these three loops are empty.
+    code, out, err = run(capsys, "verify", "--suite", "exact", "--nmax", "0", "--alpha-max", "0")
+    assert code == 1
+    checks = json.loads(out)["suites"]["exact"]
+    empty = {"ladder-raise-residual", "ladder-lower-residual", "three-term-recurrence"}
+    assert {name for name, c in checks.items() if not c["pass"]} == empty
+    assert all(checks[name]["cases"] == 0 for name in empty)
+    assert "FAILED exact/three-term-recurrence" in err.splitlines()
+
+
+def test_verify_label_diff_defect_names_form_and_state(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "algebra", "--defect", "jplus-sign")
+    assert code == 1
+    check = json.loads(out)["suites"]["algebra"]["label-diff-consistency"]
+    assert check["mode"] == "exact"
+    assert check["pass"] is False
+    assert check["cases"] == 726
+    assert check["witness"] == {"op": "J+", "state": [1, 2]}
+    assert "FAILED algebra/label-diff-consistency" in err.splitlines()
+
+
 def test_verify_defect_fails_and_names_identity(capsys):
     code, out, err = run(
         capsys, "verify", "--suite", "algebra", "--nmax", "4", "--defect", "jplus-sign"

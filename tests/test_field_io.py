@@ -56,11 +56,13 @@ def reference_decompose(fld, jmax):
     phis = np.array(grid.angular_nodes)
     x = np.array(grid.radial_x)
     w = np.array(grid.radial_weights) * np.exp(x / 2)
-    fourier = {m: fld.values @ np.exp(-1j * m * phis) / q for m in range(-jmax, jmax + 1)}
+    # The angular sums are one product with the (angle x m) phase matrix.
+    ms = np.arange(-jmax, jmax + 1)
+    fourier = fld.values @ np.exp(-1j * np.outer(phis, ms)) / q
     coeffs = {}
     for idx in plane.modes_up_to(jmax):
         radial = weightless_values(plane.radial_carrier(idx), grid.radial_x)
-        coeffs[idx] = complex(np.dot(w * radial, fourier[idx.m]))
+        coeffs[idx] = complex(np.dot(w * radial, fourier[:, idx.m + jmax]))
     return coeffs
 
 

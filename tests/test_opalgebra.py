@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laguerre_ladder import opalgebra as oa
-from laguerre_ladder.basis import BasisIndex, carrier_M, evaluate, evaluate_derivative
+from laguerre_ladder import verify
+from laguerre_ladder.basis import BasisIndex, carrier_M, evaluate
 from laguerre_ladder.opalgebra import LabelVector, OperatorName as Op
 from laguerre_ladder.radicals import SqrtSum
 
@@ -283,6 +284,48 @@ def test_unsupported_differential_forms():
         oa.apply_diff(Op.Kplus, c, 0.0)
 
 
+def test_symbolic_forms_are_exact_images():
+    # K+ |1,1> = 2 |2,2> on normalised states; both carriers have
+    # norm_squared 1, so the image's core is twice the target's.
+    image = oa.diff_image(Op.Kplus, 1, 1)
+    target = carrier_M(2, 2)
+    assert (image.sign, image.norm_squared, image.half_power) == (1, 1, target.half_power)
+    assert image.core == 2 * target.core
+    # B- |0,1> = |0,0>: the half power moves by +1 through sqrt(x), so the
+    # core carries x**-1.
+    image = oa.diff_image(Op.Bminus, 0, 1)
+    assert image.half_power == 2
+    assert image.core == carrier_M(0, 0).core.shift(-1)
+    assert oa.diff_image(Op.E, 4, 1).core.is_zero()
+    assert oa.diff_image(Op.Jplus, 2, 3) is oa.diff_image(Op.Jplus, 2, 3)
+
+
+def test_differential_forms_need_the_label_carrier():
+    c = dataclasses.replace(carrier_M(1, 2), core=carrier_M(0, 1).core)
+    with pytest.raises(ValueError, match="basis function of its label"):
+        oa.apply_diff(Op.Jplus, c, 1.0)
+
+
+def test_label_diff_witness_is_the_first_mismatch(monkeypatch):
+    # K+ with one extra unit in b breaks K+ on every state; the report
+    # names the first, (0, 0).
+    kplus = oa._FIRST_ORDER_FORMS[Op.Kplus]
+
+    def broken(n, p):
+        shift, a, b = kplus(n, p)
+        return shift, a, {**b, 0: b[0] + 1}
+
+    monkeypatch.setitem(oa._FIRST_ORDER_FORMS, Op.Kplus, broken)
+    oa.diff_image.cache_clear()
+    try:
+        check = verify.label_diff_consistency(2)
+    finally:
+        oa.diff_image.cache_clear()
+    assert check["pass"] is False
+    assert check["cases"] == 54
+    assert check["witness"] == {"op": "K+", "state": [0, 0]}
+
+
 def test_label_and_differential_realizations_agree():
     xs = np.logspace(math.log10(0.05), math.log10(20.0), 20)
     ops = (Op.Bplus, Op.Bminus, Op.Jplus, Op.Jminus, Op.Kplus, Op.Kminus)
@@ -301,25 +344,6 @@ def test_label_and_differential_realizations_agree():
                     )
                     scale = max(abs(lhs), abs(rhs), floor)
                     assert abs(lhs - rhs) / scale < 1e-9, (op, n, p, x)
-
-
-def test_first_order_form_is_apply_diff_bit_for_bit():
-    """What label_diff_consistency computes once per point is apply_diff's value."""
-    xs = [float(x) for x in np.logspace(math.log10(0.05), math.log10(20.0), 20)]
-    assert set(oa.FIRST_ORDER) == {Op.Bplus, Op.Bminus, Op.Jplus, Op.Jminus, Op.Kplus, Op.Kminus}
-    for n in range(11):
-        for p in range(11):
-            c = carrier_M(n, p)
-            for x in xs:
-                f, f1 = evaluate(c, x), evaluate_derivative(c, x, 1)
-                for op in oa.FIRST_ORDER:
-                    got = oa.first_order_form(op, n, p, x, f, f1)
-                    assert got.hex() == oa.apply_diff(op, c, x).hex(), (op, n, p, x)
-
-
-def test_first_order_form_rejects_other_operators():
-    with pytest.raises(ValueError, match="no first-order form"):
-        oa.first_order_form(Op.E, 1, 1, 1.0, 1.0, 1.0)
 
 
 # -- structure constants and the Killing form -----------------------------------------

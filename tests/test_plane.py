@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laguerre_ladder import plane
+from laguerre_ladder.basis import carrier_M
 from laguerre_ladder.opalgebra import OperatorName as Op, apply_diff
 from laguerre_ladder.plane import (
     Field2D,
@@ -64,6 +65,13 @@ def test_mode_index_validation():
         eval_Z(ModeIndex(-1, 0), 1.0, 0.0)
     with pytest.raises(ValueError):
         eval_Z(ModeIndex(1, 1), -0.5, 0.0)
+
+
+def test_radial_carrier_is_the_cached_label_carrier():
+    for j, m in [(0, 0), (2, -1), (3, 3)]:
+        assert plane.radial_carrier(ModeIndex(j, m)) is carrier_M(j + m, j - m)
+    with pytest.raises(ValueError, match="mode index"):
+        plane.radial_carrier(ModeIndex(1, 2))
 
 
 # -- radial equation -----------------------------------------------------------------
