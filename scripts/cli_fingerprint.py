@@ -4,7 +4,8 @@
 Each call runs in process through ``laguerre_ladder.cli.main``; the output
 is one line per call: exit code, sha256 of its stdout, sha256 of its stderr,
 and the call.  The calls cover exit codes 0, 1 (injected defects) and 2
-(invalid input), the JSON report and the CSV formats, and the benchmark's
+(invalid input), the JSON report and the CSV formats, the largest
+quadrature rule (order 200), and the benchmark's
 plane round trip: a jmax-8 mode file to a 96 x 64 field, with and without
 ``--apply J3``, decomposed again, and one field with a misplaced sample.
 Run it on two checkouts and diff the outputs to confirm that a change
@@ -76,6 +77,7 @@ def main() -> None:
             ["verify", "--suite", "exact", "--nmax", "0", "--alpha-max", "0"],
             ["gram", "--alpha", "2"],
             ["gram", "--alpha", "-3", "--nmax", "20", "--order", "128"],
+            ["gram", "--alpha", "0", "--nmax", "40", "--order", "200"],  # largest rule
             ["table", "--family", "M", "--n", "40", "--alpha", "20",
              "--xmax", "240", "--points", "200"],
             to_field,

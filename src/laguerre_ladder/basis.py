@@ -51,10 +51,18 @@ class Carrier:
     core: LaurentPoly
     label: BasisIndex | None = field(default=None, compare=False)
     _norm: float = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # One exact square root per carrier, not per evaluated point.
         object.__setattr__(self, "_norm", self.sign * float_sqrt(self.norm_squared))
+        # Hashed once: every node_values lookup hashes its carrier.
+        object.__setattr__(
+            self, "_hash", hash((self.sign, self.norm_squared, self.half_power, self.core))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def norm_factor(self) -> float:
         return self._norm
@@ -115,6 +123,11 @@ def derived_core(half_power: int, core: LaurentPoly) -> LaurentPoly:
     return out
 
 
+def _value(c: Carrier, core: LaurentPoly, x: float) -> float:
+    """The carrier's outer factors times ``core``, at x > 0."""
+    return c.norm_factor() * x ** (c.half_power / 2) * math.exp(-x / 2) * core.eval_float(x)
+
+
 def evaluate(c: Carrier, x: float) -> float:
     """Pointwise value of the carrier.
 
@@ -129,12 +142,7 @@ def evaluate(c: Carrier, x: float) -> float:
         if c.half_power < 0 or (c.core.low_degree() or 0) < 0:
             raise ValueError("carrier is singular at x = 0")
         return c.norm_factor() * float(c.core.coefficient(0))
-    return (
-        c.norm_factor()
-        * x ** (c.half_power / 2)
-        * math.exp(-x / 2)
-        * c.core.eval_float(x)
-    )
+    return _value(c, c.core, x)
 
 
 def weightless_values(c: Carrier, xs: Iterable[float]) -> np.ndarray:
@@ -161,9 +169,4 @@ def evaluate_derivative(c: Carrier, x: float, order: int = 1) -> float:
     core = derived_core(c.half_power, c.core)
     if order == 2:
         core = derived_core(c.half_power, core)
-    return (
-        c.norm_factor()
-        * x ** (c.half_power / 2)
-        * math.exp(-x / 2)
-        * core.eval_float(x)
-    )
+    return _value(c, core, x)

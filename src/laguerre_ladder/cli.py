@@ -181,8 +181,7 @@ def cmd_verify(args) -> int:
             flag = name.replace("_", "-")
             raise ValueError(f"--{flag} must be non-negative (got {getattr(args, name)})")
     names = list(verify.SUITE_NAMES) if args.suite == "all" else [args.suite]
-    opalgebra.set_injected_defect(args.defect)
-    try:
+    with opalgebra.injected_defect(args.defect):
         report = verify.run_suites(
             names,
             nmax=args.nmax,
@@ -191,8 +190,6 @@ def cmd_verify(args) -> int:
             jmax=args.jmax,
             angular=args.angular,
         )
-    finally:
-        opalgebra.set_injected_defect(None)
     out = {"version": __version__, **report}
     print(json.dumps(out, indent=2, allow_nan=False))
     if not report["all_pass"]:

@@ -42,20 +42,6 @@ class LaurentPoly:
         self._horner: _Horner | None = None
         self._hash: int | None = None
 
-    # -- constructors -----------------------------------------------------
-
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
-
-    @staticmethod
-    def const(c: RationalLike) -> "LaurentPoly":
-        return LaurentPoly({0: c})
-
-    @staticmethod
-    def x(power: int = 1, coeff: RationalLike = 1) -> "LaurentPoly":
-        return LaurentPoly({power: coeff})
-
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, k: int) -> Fraction:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -156,12 +158,12 @@ def eval_Z(idx: ModeIndex, r: float, phi: float) -> complex:
     return cmath.exp(1j * idx.m * phi) * evaluate(radial_carrier(idx), x)
 
 
-def radial_de_residual(idx: ModeIndex, r: float) -> float:
-    """Residual of the radial equation at r > 0.
+def _radial_terms(idx: ModeIndex, r: float) -> tuple[float, ...]:
+    """The five signed terms of the radial equation at r > 0, in summation order.
 
-    Applies d^2/dr^2 + (1/r) d/dr - 4 m^2/r^2 - r^2 + 4(j + 1/2) to the
+    d^2/dr^2, (1/r) d/dr, -4 m^2/r^2, -r^2 and 4(j + 1/2) applied to the
     radial profile through exact chain-rule derivatives of the carrier in
-    x = r**2; the result is rounding-level, not truncation-level.
+    x = r**2: d/dr = 2r d/dx, d^2/dr^2 = 2 d/dx + 4 r^2 d^2/dx^2.
     """
     idx = _check_mode(ModeIndex(*idx))
     if r <= 0:
@@ -171,28 +173,28 @@ def radial_de_residual(idx: ModeIndex, r: float) -> float:
     g = evaluate(c, x)
     g1 = evaluate_derivative(c, x, 1)
     g2 = evaluate_derivative(c, x, 2)
-    # d/dr = 2r d/dx, d^2/dr^2 = 2 d/dx + 4 r^2 d^2/dx^2.
-    second = 2 * g1 + 4 * x * g2
-    first_over_r = 2 * g1
-    return second + first_over_r - (4 * idx.m**2 / x) * g - x * g + 4 * (idx.j + 0.5) * g
+    return (
+        2 * g1 + 4 * x * g2,
+        2 * g1,
+        -((4 * idx.m**2 / x) * g),
+        -(x * g),
+        4 * (idx.j + 0.5) * g,
+    )
+
+
+def radial_de_residual(idx: ModeIndex, r: float) -> float:
+    """Residual of the radial equation at r > 0.
+
+    The sum of `_radial_terms`, so the result is rounding-level, not
+    truncation-level.
+    """
+    # Plain left-to-right addition: the builtin sum compensates on Python 3.12+.
+    return reduce(operator.add, _radial_terms(idx, r))
 
 
 def radial_de_scale(idx: ModeIndex, r: float) -> float:
-    """Largest magnitude among the residual's contributing terms."""
-    idx = _check_mode(ModeIndex(*idx))
-    c = radial_carrier(idx)
-    x = r * r
-    g = evaluate(c, x)
-    g1 = evaluate_derivative(c, x, 1)
-    g2 = evaluate_derivative(c, x, 2)
-    terms = (
-        abs(2 * g1 + 4 * x * g2),
-        abs(2 * g1),
-        abs(4 * idx.m**2 / x * g),
-        abs(x * g),
-        abs(4 * (idx.j + 0.5) * g),
-    )
-    return max(terms)
+    """Largest magnitude among the residual's contributing terms (r > 0)."""
+    return max(abs(term) for term in _radial_terms(idx, r))
 
 
 def radial_samples(modes: list[ModeIndex], grid: PolarGrid) -> list[np.ndarray]:

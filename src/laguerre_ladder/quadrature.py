@@ -1,7 +1,8 @@
 """Gauss-Laguerre quadrature and inner products on the half line.
 
-Nodes are Newton-refined roots of the order-n Laguerre polynomial, started
-from the classic asymptotic guesses; weights come from the standard
+Nodes are roots of the order-n Laguerre polynomial, seeded by the
+Golub-Welsch eigenvalues of the recurrence's Jacobi matrix and refined by
+Newton steps on the exact coefficients; weights come from the standard
 formula.  Inner products of carriers reduce to weight exp(-x) times an
 exact polynomial, which an order-n rule integrates exactly through degree
 2n - 1, so orthonormality checks are limited only by rounding in the sum.
@@ -54,14 +55,6 @@ class QuadratureRule:
         return math.fsum(w * f(x) for x, w in zip(self.nodes, self.weights))
 
 
-def _lag_pair(order: int, x: float) -> tuple[float, float]:
-    """(L_order(x), L_{order-1}(x)) by the stable three-term recurrence."""
-    prev, cur = 0.0, 1.0
-    for k in range(order):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-    return cur, prev
-
-
 @lru_cache(maxsize=_MAX_ORDER, typed=True)
 def gauss_laguerre(order: int) -> QuadratureRule:
     """Rule with the given node count, exact through degree 2*order - 1.
@@ -74,30 +67,17 @@ def gauss_laguerre(order: int) -> QuadratureRule:
     poly = laguerre(order, 0)
     slope = poly.derivative()
 
+    # Seeds: eigenvalues of the Jacobi matrix of the Laguerre recurrence
+    # (Golub and Welsch, Math. Comp. 23 (1969) 221), ascending.
+    k = np.arange(order, dtype=float)
+    jacobi = np.zeros((order, order))
+    jacobi.flat[:: order + 1] = 2 * k + 1
+    jacobi.flat[1 :: order + 1] = jacobi.flat[order :: order + 1] = -k[1:]
     nodes: list[float] = []
-    z = 0.0
-    for i in range(order):
-        if i == 0:
-            z = 3.0 / (1.0 + 2.4 * order)
-        elif i == 1:
-            z += 15.0 / (1.0 + 2.5 * order)
-        else:
-            ai = i - 1
-            z += ((1.0 + 2.55 * ai) / (1.9 * ai)) * (z - nodes[i - 2])
-        # Stage 1: float Newton on the recurrence gets within rounding noise.
-        converged = False
-        for _ in range(60):
-            val, below = _lag_pair(order, z)
-            dz = val * z / (order * (val - below))
-            z -= dz
-            if abs(dz) <= 1e-10 * abs(z):
-                converged = True
-                break
-        if not converged:
-            raise RuntimeError(f"Newton iteration failed to converge at node {i}")
-        # Stage 2: Newton on the exact coefficients until |dz| < 1e-15 * z;
-        # quadratic convergence makes the rounded result the true root to
-        # the last bit, which the weight formula then inherits.
+    for i, z in enumerate(np.linalg.eigvalsh(jacobi).tolist()):
+        # Newton on the exact coefficients until |dz| < 1e-15 * z; quadratic
+        # convergence makes the rounded result the true root to the last
+        # bit, which the weight formula then inherits.
         for _ in range(4):
             dz_exact = poly.exact_at(z) / slope.exact_at(z)
             done = abs(dz_exact) <= Fraction(z) * Fraction(1, 10**15)
@@ -137,6 +117,21 @@ def _required_order(degree: int) -> int:
     return degree // 2 + 1
 
 
+def _integral(poly: LaurentPoly, rule: QuadratureRule) -> float:
+    """Integral of exp(-x) * poly over (0, inf), refused where the rule is inexact."""
+    if poly.is_zero():
+        return 0.0
+    if poly.low_degree() < 0:
+        raise ValueError("integrand is not polynomial (negative powers remain)")
+    need = _required_order(poly.degree())
+    if rule.order < need:
+        raise ValueError(
+            f"rule order {rule.order} insufficient for degree {poly.degree()}; "
+            f"need at least {need}"
+        )
+    return rule.integrate(poly.eval_float)
+
+
 def inner_product(a: Carrier, b: Carrier, rule: QuadratureRule) -> float:
     """Plain-measure inner product of two carriers.
 
@@ -150,19 +145,9 @@ def inner_product(a: Carrier, b: Carrier, rule: QuadratureRule) -> float:
         raise ValueError(
             "integrand contains sqrt(x) (odd combined half power); refusing to approximate"
         )
-    poly = (a.core * b.core).shift(combined // 2)
-    if poly.is_zero():
-        return 0.0
-    if poly.low_degree() < 0:
-        raise ValueError("integrand is not polynomial (negative powers remain)")
-    need = _required_order(poly.degree())
-    if rule.order < need:
-        raise ValueError(
-            f"rule order {rule.order} insufficient for degree {poly.degree()}; "
-            f"need at least {need}"
-        )
+    integral = _integral((a.core * b.core).shift(combined // 2), rule)
     scale = a.sign * b.sign * float_sqrt(a.norm_squared * b.norm_squared)
-    return scale * rule.integrate(poly.eval_float)
+    return scale * integral
 
 
 def weighted_inner_product(
@@ -171,18 +156,7 @@ def weighted_inner_product(
     """Unnormalized inner product with weight x**alpha exp(-x)."""
     if alpha < 0:
         raise ValueError(f"weight exponent must be non-negative (got {alpha})")
-    poly = (a * b).shift(alpha)
-    if poly.is_zero():
-        return 0.0
-    if poly.low_degree() < 0:
-        raise ValueError("integrand is not polynomial (negative powers remain)")
-    need = _required_order(poly.degree())
-    if rule.order < need:
-        raise ValueError(
-            f"rule order {rule.order} insufficient for degree {poly.degree()}; "
-            f"need at least {need}"
-        )
-    return rule.integrate(poly.eval_float)
+    return _integral((a * b).shift(alpha), rule)
 
 
 def gram_matrix(alpha: int, nmax: int, rule: QuadratureRule) -> np.ndarray:

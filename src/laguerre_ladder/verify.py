@@ -138,94 +138,63 @@ def suite_exact(nmax: int = 12, alpha_max: int = 10) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _commutator_residual(
-    pairs: list[tuple[Op, Op, Callable]], states: list[BasisIndex]
-) -> float:
-    """pairs hold (opA, opB, expected(state) -> exact vector)."""
-    worst = 0.0
-    for s in states:
-        vec = opalgebra.exact_state(*s)
-        for op_a, op_b, expected in pairs:
-            actual = opalgebra.commutator_exact(op_a, op_b, vec)
-            worst = max(worst, _vec_residual(s, actual, expected(s)))
-    return worst
-
-
-def _scaled_apply(op: Op, s: BasisIndex, factor) -> dict:
-    vec = opalgebra.apply_exact(op, opalgebra.exact_state(*s))
-    return {k: v * factor for k, v in vec.items()}
+# Ladder relations [A, B] = sum of factor * G, checked on every state; G None
+# is the identity and an empty sum is zero.
+_LADDER_RELATIONS: dict[str, list[tuple[Op, Op, dict[Op | None, int]]]] = {
+    "boson-commutators": [
+        (Op.Bminus, Op.Bplus, {None: 1}),
+        (Op.Aminus, Op.Aplus, {None: 1}),
+        (Op.Aplus, Op.Bplus, {}),
+        (Op.Aplus, Op.Bminus, {}),
+        (Op.Aminus, Op.Bplus, {}),
+        (Op.Aminus, Op.Bminus, {}),
+    ],
+    "su2-commutators": [
+        (Op.J3, Op.Jplus, {Op.Jplus: 1}),
+        (Op.J3, Op.Jminus, {Op.Jminus: -1}),
+        (Op.Jplus, Op.Jminus, {Op.J3: 2}),
+    ],
+    "su11-commutators": [
+        (Op.K3, Op.Kplus, {Op.Kplus: 1}),
+        (Op.K3, Op.Kminus, {Op.Kminus: -1}),
+        (Op.Kplus, Op.Kminus, {Op.K3: -2}),
+    ],
+    "r-ladder-commutators": [
+        (Op.R3, Op.Rplus, {Op.Rplus: 2}),
+        (Op.R3, Op.Rminus, {Op.Rminus: -2}),
+        (Op.Rplus, Op.Rminus, {Op.R3: -4}),
+    ],
+    "s-ladder-commutators": [
+        (Op.S3, Op.Splus, {Op.Splus: 2}),
+        (Op.S3, Op.Sminus, {Op.Sminus: -2}),
+        (Op.Splus, Op.Sminus, {Op.S3: -4}),
+    ],
+    "r-s-cross-commutators": [
+        (Op.Rplus, Op.Splus, {}),
+        (Op.Rplus, Op.Sminus, {}),
+        (Op.Rminus, Op.Splus, {}),
+        (Op.Rminus, Op.Sminus, {}),
+    ],
+}
 
 
 def suite_algebra(nmax: int = 12) -> dict:
     checks: dict[str, dict] = {}
     states = [BasisIndex(n, p) for n in range(nmax + 1) for p in range(nmax + 1)]
-    identity = lambda s: {s: 1}
-    zero = lambda s: {}
 
-    checks["boson-commutators"] = _exact_check(
-        _commutator_residual(
-            [
-                (Op.Bminus, Op.Bplus, identity),
-                (Op.Aminus, Op.Aplus, identity),
-                (Op.Aplus, Op.Bplus, zero),
-                (Op.Aplus, Op.Bminus, zero),
-                (Op.Aminus, Op.Bplus, zero),
-                (Op.Aminus, Op.Bminus, zero),
-            ],
-            states,
-        )
-    )
-    checks["su2-commutators"] = _exact_check(
-        _commutator_residual(
-            [
-                (Op.J3, Op.Jplus, lambda s: _scaled_apply(Op.Jplus, s, 1)),
-                (Op.J3, Op.Jminus, lambda s: _scaled_apply(Op.Jminus, s, -1)),
-                (Op.Jplus, Op.Jminus, lambda s: _scaled_apply(Op.J3, s, 2)),
-            ],
-            states,
-        )
-    )
-    checks["su11-commutators"] = _exact_check(
-        _commutator_residual(
-            [
-                (Op.K3, Op.Kplus, lambda s: _scaled_apply(Op.Kplus, s, 1)),
-                (Op.K3, Op.Kminus, lambda s: _scaled_apply(Op.Kminus, s, -1)),
-                (Op.Kplus, Op.Kminus, lambda s: _scaled_apply(Op.K3, s, -2)),
-            ],
-            states,
-        )
-    )
-    checks["r-ladder-commutators"] = _exact_check(
-        _commutator_residual(
-            [
-                (Op.R3, Op.Rplus, lambda s: _scaled_apply(Op.Rplus, s, 2)),
-                (Op.R3, Op.Rminus, lambda s: _scaled_apply(Op.Rminus, s, -2)),
-                (Op.Rplus, Op.Rminus, lambda s: _scaled_apply(Op.R3, s, -4)),
-            ],
-            states,
-        )
-    )
-    checks["s-ladder-commutators"] = _exact_check(
-        _commutator_residual(
-            [
-                (Op.S3, Op.Splus, lambda s: _scaled_apply(Op.Splus, s, 2)),
-                (Op.S3, Op.Sminus, lambda s: _scaled_apply(Op.Sminus, s, -2)),
-                (Op.Splus, Op.Sminus, lambda s: _scaled_apply(Op.S3, s, -4)),
-            ],
-            states,
-        )
-    )
-    checks["r-s-cross-commutators"] = _exact_check(
-        _commutator_residual(
-            [
-                (Op.Rplus, Op.Splus, zero),
-                (Op.Rplus, Op.Sminus, zero),
-                (Op.Rminus, Op.Splus, zero),
-                (Op.Rminus, Op.Sminus, zero),
-            ],
-            states,
-        )
-    )
+    for name, relations in _LADDER_RELATIONS.items():
+        worst = 0.0
+        for s in states:
+            vec = opalgebra.exact_state(*s)
+            for op_a, op_b, rhs in relations:
+                actual = opalgebra.commutator_exact(op_a, op_b, vec)
+                expected: dict = {}
+                for op_g, factor in rhs.items():
+                    image = vec if op_g is None else opalgebra.apply_exact(op_g, vec)
+                    for k, v in image.items():
+                        expected[k] = expected.get(k, 0) + v * factor
+                worst = max(worst, _vec_residual(s, actual, expected))
+        checks[name] = _exact_check(worst)
 
     worst = 0.0
     for s in states:

@@ -87,8 +87,10 @@ def test_radial_equation_residual(j, m):
 
 
 def test_radial_equation_needs_positive_radius():
-    with pytest.raises(ValueError):
-        radial_de_residual(ModeIndex(1, 0), 0.0)
+    for func in (radial_de_residual, radial_de_scale):
+        for r in (0.0, -0.5):
+            with pytest.raises(ValueError, match="r must be positive"):
+                func(ModeIndex(1, 0), r)
 
 
 # -- grids and inner products ----------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 from math import factorial
@@ -73,6 +74,27 @@ def test_largest_supported_order_builds():
     assert rule.order == 200
     assert abs(math.fsum(rule.weights) - 1.0) < 1e-13
     assert rule.integrate(lambda x: x**3) == pytest.approx(6.0, rel=1e-12)
+
+
+# sha256 of repr((nodes, weights)): every rule bit for bit, not to a tolerance.
+RULE_DIGESTS = {
+    1: "664c24caa912e75ff0db5baecda0963d9d22a6c9606ed51385beb140aaffa300",
+    2: "cfcaeecf40ee37310129ef9a2a899681fc208ea94fe63301b0035f3ba7d3e5ab",
+    3: "7b50036f145e8a648d21eb36136640ca99772ca3b73cb7cf823f31d72d9e0c57",
+    8: "920249a0102cc02f559babc57bf3897dd7d632fb20125ceeab065cbc96719c8f",
+    32: "17a21dac15aed04d24cec24319f0a77154c2db6502f2e6b92bad5406deceabb6",
+    64: "2fb6fb013c5d361805be333a24a3c7a7c7dcd5811a12537cb3c7fb9274f57fe4",
+    96: "76d4c34554718ce7fe90ea338787d770b83ca25933c1a946702f6e584df33c2e",
+    128: "6c8bdfdc4dfc52ad939a11b62fbb98e04bffd9d2a3b57152cc3ed5c8ec5baa49",
+    200: "bab4de63d6c29b6bcc9d3a2aa67b64277a047795840ed793795ff42479823b43",
+}
+
+
+@pytest.mark.parametrize("order", sorted(RULE_DIGESTS))
+def test_rule_digest(order):
+    rule = gauss_laguerre(order)
+    digest = hashlib.sha256(repr((rule.nodes, rule.weights)).encode()).hexdigest()
+    assert digest == RULE_DIGESTS[order]
 
 
 def test_order_validation():
