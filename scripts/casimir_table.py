@@ -16,15 +16,15 @@ from laguerre_ladder import opalgebra
 
 def main(nmax: int = 4) -> None:
     sc = opalgebra.derive_structure_constants()
-    print(f"{'n':>3} {'p':>3} {'Cp':>5} {'Csu2':>8} {'Csu11':>8} {'CR':>6} {'CS':>6} {'Killing':>12}")
+    names = ("Cp", *opalgebra.SL2_TRIPLES)
+    columns = list(zip(names, (5, 8, 8, 6, 6))) + [("Killing", 12)]
+    print(f"{'n':>3} {'p':>3} " + " ".join(f"{name:>{width}}" for name, width in columns))
     for n in range(nmax + 1):
         for p in range(nmax + 1):
-            row = [opalgebra.casimir_eigenvalue(w, (n, p)) for w in ("Cp", "Csu2", "Csu11", "CR", "CS")]
-            killing = opalgebra.killing_casimir(sc, (n, p))
-            print(
-                f"{n:>3} {p:>3} {str(row[0]):>5} {str(row[1]):>8} {str(row[2]):>8} "
-                f"{str(row[3]):>6} {str(row[4]):>6} {str(killing):>12}"
-            )
+            row = [opalgebra.casimir_eigenvalue(w, (n, p)) for w in names]
+            row.append(opalgebra.killing_casimir(sc, (n, p)))
+            cells = (f"{str(v):>{width}}" for v, (_, width) in zip(row, columns))
+            print(f"{n:>3} {p:>3} " + " ".join(cells))
 
 
 if __name__ == "__main__":

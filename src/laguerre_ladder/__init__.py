@@ -10,7 +10,7 @@ the arithmetic allows and to stated tolerances elsewhere.
 __version__ = "0.1.0"
 
 from .basis import BasisIndex, Carrier, carrier_L, carrier_M, evaluate, evaluate_derivative
-from .exactpoly import LaurentPoly, alpha_ladder_check, de_residual, derivative, laguerre
+from .exactpoly import LaurentPoly, alpha_ladder_check, de_residual, laguerre
 from .opalgebra import (
     LabelVector,
     OperatorName,

@@ -232,11 +232,6 @@ class _Horner:
         return (-num, -den) if den < 0 else (num, den)
 
 
-def derivative(p: LaurentPoly) -> LaurentPoly:
-    """Exact formal derivative of a Laurent polynomial."""
-    return p.derivative()
-
-
 def _validate_index(n: int, alpha: int) -> None:
     if not isinstance(n, int) or not isinstance(alpha, int):
         raise ValueError(f"indices must be integers (got n={n!r}, alpha={alpha!r})")

@@ -15,10 +15,14 @@ and second-order equation operators, in two realizations:
   evaluated pointwise.
 
 The label action is ground truth; differential forms are checked against
-it.  The quadratic composites (the double-raising and double-lowering
-families) are never given independent matrix elements: they are always
-composed from the single-step actions through their commutator
-definitions.
+it.  Two tables state what each generator is: ``_SHIFTS`` gives the shift
+and matrix element of the eight single-step and six diagonal generators,
+and ``SL2_TRIPLES`` the (H, E+, E-, step, sign) of the four sl(2) triples,
+from which the ladder relations, the Casimirs and the spin ladder on plane
+modes are read.  The quadratic composites (the double-raising and
+double-lowering families) are never given independent matrix elements:
+they are always composed from the single-step actions through their
+commutator definitions.
 """
 
 from __future__ import annotations
@@ -73,6 +77,40 @@ _COMMUTATOR_COMPOSITES = {
     OperatorName.Sminus: (-1, OperatorName.Jplus, OperatorName.Kminus),
 }
 
+# The shift generators as one table, op -> (dn, dp, element(n, p)): op sends
+# the unnormalised state (n, p) to element(n, p) times (n + dn, p + dp).  A
+# zero element annihilates, which covers every edge of the lattice; the six
+# diagonal generators (dn = dp = 0) are the number operators and their
+# half-integer combinations.
+_SHIFTS = {
+    OperatorName.Aplus: (1, 0, lambda n, p: 1),
+    OperatorName.Aminus: (-1, 0, lambda n, p: n),
+    OperatorName.Bplus: (0, 1, lambda n, p: 1),
+    OperatorName.Bminus: (0, -1, lambda n, p: p),
+    OperatorName.Jplus: (1, -1, lambda n, p: p),
+    OperatorName.Jminus: (-1, 1, lambda n, p: n),
+    OperatorName.Kplus: (1, 1, lambda n, p: 1),
+    OperatorName.Kminus: (-1, -1, lambda n, p: n * p),
+    OperatorName.N: (0, 0, lambda n, p: n),
+    OperatorName.P: (0, 0, lambda n, p: p),
+    OperatorName.J3: (0, 0, lambda n, p: Fraction(n - p, 2)),
+    OperatorName.K3: (0, 0, lambda n, p: Fraction(n + p + 1, 2)),
+    OperatorName.R3: (0, 0, lambda n, p: Fraction(2 * n + 1, 2)),
+    OperatorName.S3: (0, 0, lambda n, p: Fraction(2 * p + 1, 2)),
+}
+
+_DIAGONAL = tuple(op for op, (dn, dp, _) in _SHIFTS.items() if dn == dp == 0)
+
+# The four sl(2) triples, Casimir name -> (H, E+, E-, step, sign):
+# [H, E+-] = +-step E+-, [E+, E-] = 2 sign step H, and the Casimir is
+# H**2 + (sign/2) {E+, E-}.
+SL2_TRIPLES: dict[str, tuple[OperatorName, OperatorName, OperatorName, int, int]] = {
+    "Csu2": (OperatorName.J3, OperatorName.Jplus, OperatorName.Jminus, 1, +1),
+    "Csu11": (OperatorName.K3, OperatorName.Kplus, OperatorName.Kminus, 1, -1),
+    "CR": (OperatorName.R3, OperatorName.Rplus, OperatorName.Rminus, 2, -1),
+    "CS": (OperatorName.S3, OperatorName.Splus, OperatorName.Sminus, 2, -1),
+}
+
 # Test fixture: a deliberately wrong matrix element, used to prove the
 # verification suites actually detect broken algebra.  "jplus-sign" flips
 # the sign of the single J+ element out of the state (1, 2).
@@ -80,37 +118,17 @@ _VALID_DEFECTS = ("jplus-sign",)
 _injected_defect: str | None = None
 
 
-def set_injected_defect(name: str | None) -> None:
+@contextmanager
+def injected_defect(name: str | None):
+    """Run the block with the named defect (None: none) in every label action."""
     global _injected_defect
     if name is not None and name not in _VALID_DEFECTS:
         raise ValueError(f"unknown defect {name!r}; valid: {_VALID_DEFECTS}")
-    _injected_defect = name
-
-
-@contextmanager
-def injected_defect(name: str | None):
-    previous = _injected_defect
-    set_injected_defect(name)
+    previous, _injected_defect = _injected_defect, name
     try:
         yield
     finally:
-        set_injected_defect(previous)
-
-
-def _diagonal(op: OperatorName, n: int, p: int) -> int | Fraction | None:
-    if op is OperatorName.N:
-        return n
-    if op is OperatorName.P:
-        return p
-    if op is OperatorName.J3:
-        return Fraction(n - p, 2)
-    if op is OperatorName.K3:
-        return Fraction(n + p + 1, 2)
-    if op is OperatorName.R3:
-        return Fraction(2 * n + 1, 2)
-    if op is OperatorName.S3:
-        return Fraction(2 * p + 1, 2)
-    return None
+        _injected_defect = previous
 
 
 def _terms(op: OperatorName, n: int, p: int) -> Mapping[BasisIndex, int | Fraction]:
@@ -125,30 +143,14 @@ def _terms(op: OperatorName, n: int, p: int) -> Mapping[BasisIndex, int | Fracti
 # images, the three mode operators on every plane mode through j = 8 build 243.
 @lru_cache(maxsize=4096, typed=True)
 def _image(op: OperatorName, n: int, p: int, defect: str | None) -> ExactVector:
-    diag = _diagonal(op, n, p)
-    if diag is not None:
-        return {BasisIndex(n, p): diag} if diag else {}
+    if op in _SHIFTS:
+        dn, dp, element = _SHIFTS[op]
+        elem = element(n, p)
+        if op is OperatorName.Jplus and defect == "jplus-sign" and (n, p) == (1, 2):
+            elem = -elem
+        return {BasisIndex(n + dn, p + dp): elem} if elem else {}
     if op is OperatorName.E:
         return {}
-    if op is OperatorName.Aplus:
-        return {BasisIndex(n + 1, p): 1}
-    if op is OperatorName.Aminus:
-        return {} if n == 0 else {BasisIndex(n - 1, p): n}
-    if op is OperatorName.Bplus:
-        return {BasisIndex(n, p + 1): 1}
-    if op is OperatorName.Bminus:
-        return {} if p == 0 else {BasisIndex(n, p - 1): p}
-    if op is OperatorName.Jplus:
-        if p == 0:
-            return {}
-        elem = -p if defect == "jplus-sign" and (n, p) == (1, 2) else p
-        return {BasisIndex(n + 1, p - 1): elem}
-    if op is OperatorName.Jminus:
-        return {} if n == 0 else {BasisIndex(n - 1, p + 1): n}
-    if op is OperatorName.Kplus:
-        return {BasisIndex(n + 1, p + 1): 1}
-    if op is OperatorName.Kminus:
-        return {} if n == 0 or p == 0 else {BasisIndex(n - 1, p - 1): n * p}
     if op in _COMMUTATOR_COMPOSITES:
         sign, first, second = _COMMUTATOR_COMPOSITES[op]
         return commutator_exact(first, second, {BasisIndex(n, p): sign})
@@ -314,46 +316,51 @@ def twisted_swap(v: LabelVector) -> LabelVector:
 
 CasimirName = Literal["Cp", "Csu2", "Csu11", "CR", "CS"]
 
-_CASIMIR_PARTS: dict[str, tuple[OperatorName, OperatorName, OperatorName, int]] = {
-    # name -> (diagonal generator, plus, minus, sign of the anticommutator half)
-    "Csu2": (OperatorName.J3, OperatorName.Jplus, OperatorName.Jminus, +1),
-    "Csu11": (OperatorName.K3, OperatorName.Kplus, OperatorName.Kminus, -1),
-    "CR": (OperatorName.R3, OperatorName.Rplus, OperatorName.Rminus, -1),
-    "CS": (OperatorName.S3, OperatorName.Splus, OperatorName.Sminus, -1),
-}
+
+def _quadratic_eigenvalue(
+    name: str,
+    idx: tuple[int, int],
+    parts: Sequence[tuple[int | Fraction, OperatorName, OperatorName]],
+    offset: int | Fraction = 0,
+) -> Fraction:
+    """Exact eigenvalue of offset + sum of scale * A B on one state.
+
+    ``parts`` lists (scale, A, B).  Each B's image of the state is taken
+    once; parts with a zero scale apply no A.  Raises, naming the first
+    other label reached, when the state is not an eigenvector.
+    """
+    key = BasisIndex(*idx)
+    state, images = exact_state(*key), {}
+    acc: ExactVector = {key: offset}
+    for scale, first, second in parts:
+        if second not in images:
+            images[second] = apply_exact(second, state)
+        for label, coeff in apply_exact(first, images[second]).items() if scale else ():
+            acc[label] = acc.get(label, 0) + scale * coeff
+    eigen = Fraction(acc.pop(key))
+    if leak := [tuple(label) for label, coeff in acc.items() if coeff]:
+        raise RuntimeError(f"{name} is not diagonal on {tuple(key)}: leakage onto {leak[0]}")
+    return eigen
 
 
 def casimir_eigenvalue(which: CasimirName, idx: tuple[int, int]) -> Fraction:
     """Exact Casimir eigenvalue on a single basis state.
 
-    Built from label actions only.  Raises if the state fails to be an exact
-    eigenvector (which would indicate broken matrix elements).
+    Built from label actions only: "Cp" is b- b+ + b+ b- - (2P + 1), the
+    others H**2 + (sign/2) {E+, E-} of their ``SL2_TRIPLES`` entry.  Raises
+    if the state fails to be an exact eigenvector (which would indicate
+    broken matrix elements).
     """
-    n, p = idx
-    key = BasisIndex(n, p)
     if which == "Cp":
-        acc: ExactVector = {key: -(2 * p + 1)}
-        parts = [
-            (1, OperatorName.Bminus, OperatorName.Bplus),
-            (1, OperatorName.Bplus, OperatorName.Bminus),
-        ]
-    elif which in _CASIMIR_PARTS:
-        diag, plus, minus, sign = _CASIMIR_PARTS[which]
-        half = Fraction(sign, 2)
-        acc = {}
-        parts = [(1, diag, diag), (half, plus, minus), (half, minus, plus)]
-    else:
+        minus, plus = OperatorName.Bminus, OperatorName.Bplus
+        parts = [(1, minus, plus), (1, plus, minus)]
+        return _quadratic_eigenvalue(f"Casimir {which}", idx, parts, -(2 * idx[1] + 1))
+    if which not in SL2_TRIPLES:
         raise ValueError(f"unknown Casimir {which!r}")
-    state = exact_state(n, p)
-    for scale, first, second in parts:
-        for label, coeff in apply_exact(first, apply_exact(second, state)).items():
-            acc[label] = acc.get(label, 0) + scale * coeff
-    for label, coeff in acc.items():
-        if coeff and label != key:
-            raise RuntimeError(
-                f"Casimir {which} is not diagonal on {idx}: leakage onto {tuple(label)}"
-            )
-    return Fraction(acc.get(key, 0))
+    h, plus, minus, _, sign = SL2_TRIPLES[which]
+    half = Fraction(sign, 2)
+    parts = [(1, h, h), (half, plus, minus), (half, minus, plus)]
+    return _quadratic_eigenvalue(f"Casimir {which}", idx, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -405,18 +412,7 @@ _FIRST_ORDER_FORMS = {
 
 FIRST_ORDER: tuple[OperatorName, ...] = tuple(_FIRST_ORDER_FORMS)
 
-_DIFF_SUPPORTED = {
-    *FIRST_ORDER,
-    OperatorName.J3,
-    OperatorName.K3,
-    OperatorName.R3,
-    OperatorName.S3,
-    OperatorName.N,
-    OperatorName.P,
-    OperatorName.X,
-    OperatorName.Dx,
-    OperatorName.E,
-}
+_DIFF_SUPPORTED = {*FIRST_ORDER, *_DIAGONAL, OperatorName.X, OperatorName.Dx, OperatorName.E}
 
 
 # One verify --suite all builds 726 images: the six forms on n, p <= 10.
@@ -457,9 +453,8 @@ def apply_diff(op: OperatorName, c: Carrier, x: float) -> float:
     if c != carrier_M(n, p):
         raise ValueError(f"carrier is not the basis function of its label {(n, p)}")
 
-    diag = _diagonal(op, n, p)
-    if diag is not None:
-        return float(diag) * evaluate(c, x)
+    if op in _DIAGONAL:
+        return float(_SHIFTS[op][2](n, p)) * evaluate(c, x)
     if op is OperatorName.X:
         return x * evaluate(c, x)
     if op is OperatorName.Dx:
@@ -625,8 +620,7 @@ def su2_block_scale(sc: StructureConstants) -> tuple[Fraction, Fraction]:
     standard su(2) Killing form (diagonal entry 2, off-diagonal pairing 4).
     """
     B = killing_form(sc)
-    spin = (OperatorName.J3, OperatorName.Jplus, OperatorName.Jminus)
-    i3, ip, im = map(sc.generators.index, spin)
+    i3, ip, im = map(sc.generators.index, SL2_TRIPLES["Csu2"][:3])
     scale = Fraction(B[i3][i3], 2)
     reference = {(i3, i3): 2, (ip, im): 4, (im, ip): 4}
     block = product((i3, ip, im), repeat=2)
@@ -642,16 +636,6 @@ def killing_casimir(sc: StructureConstants, idx: tuple[int, int]) -> Fraction:
     """
     if sc.witness is not None:
         raise ValueError("structure constants carry a closure failure")
-    key, acc = BasisIndex(*idx), {}
-    for b, gen_b in enumerate(sc.generators):
-        image = apply_exact(gen_b, exact_state(*key))
-        for a, gen_a in enumerate(sc.generators):
-            g_ab = sc.casimir_metric[a][b]
-            for target, coeff in apply_exact(gen_a, image).items() if g_ab else ():
-                acc[target] = acc.get(target, 0) + g_ab * coeff
-    eigen = Fraction(acc.pop(key, 0))
-    if leak := [tuple(target) for target, coeff in acc.items() if coeff]:
-        raise RuntimeError(
-            f"Killing Casimir is not diagonal on {tuple(key)}: leakage onto {leak[0]}"
-        )
-    return eigen
+    gens, g = sc.generators, sc.casimir_metric
+    parts = [(g[a][b], gens[a], gens[b]) for b in range(len(gens)) for a in range(len(gens))]
+    return _quadratic_eigenvalue("Killing Casimir", idx, parts)

@@ -192,9 +192,10 @@ def radial_de_residual(idx: ModeIndex, r: float) -> float:
     return reduce(operator.add, _radial_terms(idx, r))
 
 
-def radial_de_scale(idx: ModeIndex, r: float) -> float:
-    """Largest magnitude among the residual's contributing terms (r > 0)."""
-    return max(abs(term) for term in _radial_terms(idx, r))
+def radial_de_relative(idx: ModeIndex, r: float) -> float:
+    """|radial_de_residual| over the largest magnitude among its terms (r > 0)."""
+    terms = _radial_terms(idx, r)
+    return abs(reduce(operator.add, terms)) / max(abs(term) for term in terms)
 
 
 def radial_samples(modes: list[ModeIndex], grid: PolarGrid) -> list[np.ndarray]:
@@ -282,7 +283,8 @@ def reconstruct(coeffs: ModeCoefficients, grid: PolarGrid) -> Field2D:
     return Field2D(grid=grid, values=values)
 
 
-_MODE_OPERATORS = (OperatorName.Jplus, OperatorName.Jminus, OperatorName.J3)
+# The spin triple (J3, J+, J-).
+_MODE_OPERATORS = opalgebra.SL2_TRIPLES["Csu2"][:3]
 
 
 # Plane modes are the two-label states relabelled by (n, p) = (j+m, j-m), so

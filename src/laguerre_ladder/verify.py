@@ -138,6 +138,16 @@ def suite_exact(nmax: int = 12, alpha_max: int = 10) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _triple_relations(casimir: str) -> list[tuple[Op, Op, dict[Op | None, int]]]:
+    """[H, E+] = step E+, [H, E-] = -step E- and [E+, E-] = 2 sign step H."""
+    h, plus, minus, step, sign = opalgebra.SL2_TRIPLES[casimir]
+    return [
+        (h, plus, {plus: step}),
+        (h, minus, {minus: -step}),
+        (plus, minus, {h: 2 * sign * step}),
+    ]
+
+
 # Ladder relations [A, B] = sum of factor * G, checked on every state; G None
 # is the identity and an empty sum is zero.
 _LADDER_RELATIONS: dict[str, list[tuple[Op, Op, dict[Op | None, int]]]] = {
@@ -149,26 +159,10 @@ _LADDER_RELATIONS: dict[str, list[tuple[Op, Op, dict[Op | None, int]]]] = {
         (Op.Aminus, Op.Bplus, {}),
         (Op.Aminus, Op.Bminus, {}),
     ],
-    "su2-commutators": [
-        (Op.J3, Op.Jplus, {Op.Jplus: 1}),
-        (Op.J3, Op.Jminus, {Op.Jminus: -1}),
-        (Op.Jplus, Op.Jminus, {Op.J3: 2}),
-    ],
-    "su11-commutators": [
-        (Op.K3, Op.Kplus, {Op.Kplus: 1}),
-        (Op.K3, Op.Kminus, {Op.Kminus: -1}),
-        (Op.Kplus, Op.Kminus, {Op.K3: -2}),
-    ],
-    "r-ladder-commutators": [
-        (Op.R3, Op.Rplus, {Op.Rplus: 2}),
-        (Op.R3, Op.Rminus, {Op.Rminus: -2}),
-        (Op.Rplus, Op.Rminus, {Op.R3: -4}),
-    ],
-    "s-ladder-commutators": [
-        (Op.S3, Op.Splus, {Op.Splus: 2}),
-        (Op.S3, Op.Sminus, {Op.Sminus: -2}),
-        (Op.Splus, Op.Sminus, {Op.S3: -4}),
-    ],
+    "su2-commutators": _triple_relations("Csu2"),
+    "su11-commutators": _triple_relations("Csu11"),
+    "r-ladder-commutators": _triple_relations("CR"),
+    "s-ladder-commutators": _triple_relations("CS"),
     "r-s-cross-commutators": [
         (Op.Rplus, Op.Splus, {}),
         (Op.Rplus, Op.Sminus, {}),
@@ -176,6 +170,15 @@ _LADDER_RELATIONS: dict[str, list[tuple[Op, Op, dict[Op | None, int]]]] = {
         (Op.Rminus, Op.Sminus, {}),
     ],
 }
+
+# The Casimir checks: (check name, Casimir, exact eigenvalue on the state s).
+_CASIMIR_CHECKS = (
+    ("casimir-boson", "Cp", lambda s: 0),
+    ("casimir-su2", "Csu2", lambda s: Fraction(s.n + s.p, 2) * (Fraction(s.n + s.p, 2) + 1)),
+    ("casimir-su11", "Csu11", lambda s: Fraction(s.n - s.p, 2) ** 2 - Fraction(1, 4)),
+    ("casimir-r", "CR", lambda s: Fraction(-3, 4)),
+    ("casimir-s", "CS", lambda s: Fraction(-3, 4)),
+)
 
 
 def suite_algebra(nmax: int = 12) -> dict:
@@ -208,26 +211,9 @@ def suite_algebra(nmax: int = 12) -> dict:
             worst = max(worst, direct.max_abs_diff(-1.0 * swapped))
     checks["interchange-symmetry"] = _exact_check(worst)
 
-    def casimir_residual(which: str, expected) -> float:
-        worst = 0.0
-        for s in states:
-            diff = opalgebra.casimir_eigenvalue(which, s) - expected(s)
-            worst = max(worst, abs(float(diff)))
-        return worst
-
-    checks["casimir-boson"] = _exact_check(casimir_residual("Cp", lambda s: 0))
-    checks["casimir-su2"] = _exact_check(
-        casimir_residual(
-            "Csu2", lambda s: Fraction(s.n + s.p, 2) * (Fraction(s.n + s.p, 2) + 1)
-        )
-    )
-    checks["casimir-su11"] = _exact_check(
-        casimir_residual(
-            "Csu11", lambda s: Fraction(s.n - s.p, 2) ** 2 - Fraction(1, 4)
-        )
-    )
-    checks["casimir-r"] = _exact_check(casimir_residual("CR", lambda s: Fraction(-3, 4)))
-    checks["casimir-s"] = _exact_check(casimir_residual("CS", lambda s: Fraction(-3, 4)))
+    for name, which, expected in _CASIMIR_CHECKS:
+        worst = max(abs(opalgebra.casimir_eigenvalue(which, s) - expected(s)) for s in states)
+        checks[name] = _exact_check(worst)
 
     checks["label-diff-consistency"] = label_diff_consistency(min(nmax, 10))
     return checks
@@ -343,10 +329,7 @@ def suite_plane(jmax: int = 6, radial_order: int = 64, angular: int = 64) -> dic
     worst = 0.0
     for idx in plane.modes_up_to(jmax):
         for r in (0.3, 0.7, 1.5, 3.0):
-            worst = max(
-                worst,
-                abs(plane.radial_de_residual(idx, r)) / plane.radial_de_scale(idx, r),
-            )
+            worst = max(worst, plane.radial_de_relative(idx, r))
     checks["radial-equation"] = _float_check(worst, 1e-9)
 
     seed = _seed_coefficients(min(jmax + 2, 8))

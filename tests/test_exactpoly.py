@@ -11,7 +11,6 @@ from laguerre_ladder.exactpoly import (
     LaurentPoly,
     alpha_ladder_check,
     de_residual,
-    derivative,
     laguerre,
     three_term_residual,
 )
@@ -46,9 +45,9 @@ def test_no_stored_zeros(p):
 
 
 def test_derivative_examples():
-    assert derivative(LaurentPoly({0: 1, 1: -1})) == LaurentPoly({0: -1})
-    assert derivative(LaurentPoly({2: Fraction(1, 2)})) == LaurentPoly({1: 1})
-    assert derivative(LaurentPoly({-1: 1})) == LaurentPoly({-2: -1})
+    assert LaurentPoly({0: 1, 1: -1}).derivative() == LaurentPoly({0: -1})
+    assert LaurentPoly({2: Fraction(1, 2)}).derivative() == LaurentPoly({1: 1})
+    assert LaurentPoly({-1: 1}).derivative() == LaurentPoly({-2: -1})
 
 
 def test_render_ascending():

@@ -148,6 +148,34 @@ def test_returned_vectors_do_not_alias_the_memo():
         oa._terms(Op.Rplus, 1, 2)[BasisIndex(9, 9)] = 5
 
 
+# The single-step generators and the shift each one makes on (n, p).
+_SINGLE_STEPS = {
+    Op.Aplus: (1, 0),
+    Op.Aminus: (-1, 0),
+    Op.Bplus: (0, 1),
+    Op.Bminus: (0, -1),
+    Op.Jplus: (1, -1),
+    Op.Jminus: (-1, 1),
+    Op.Kplus: (1, 1),
+    Op.Kminus: (-1, -1),
+}
+
+
+def test_single_steps_annihilate_exactly_off_the_lattice():
+    for n in range(13):
+        for p in range(13):
+            for op, (dn, dp) in _SINGLE_STEPS.items():
+                target = BasisIndex(n + dn, p + dp)
+                image = oa.apply_exact(op, oa.exact_state(n, p))
+                if min(target) < 0:
+                    assert image == {}, (op, n, p)
+                else:
+                    assert list(image) == [target], (op, n, p)
+                if dn >= 0 and dp >= 0:
+                    assert image, (op, n, p)  # raising generators never annihilate
+                assert all(min(t) >= 0 for t in image), (op, n, p)
+
+
 def test_derivative_has_no_label_action():
     with pytest.raises(ValueError, match="label-space"):
         oa.apply_label(Op.Dx, LabelVector.basis_state(1, 1))
@@ -183,6 +211,48 @@ def test_cross_family_commutators_vanish(label):
     assert oa.commutator_label(Op.Rplus, Op.Sminus, v).is_zero()
     assert oa.commutator_label(Op.Rplus, Op.Splus, v).is_zero()
     assert oa.commutator_label(Op.Aplus, Op.Bminus, v).is_zero()
+
+
+def test_ladder_relations_derived_from_the_triples():
+    # The relations the algebra suite checked before they were derived from
+    # SL2_TRIPLES, written out by hand.
+    hand_written = {
+        "boson-commutators": [
+            (Op.Bminus, Op.Bplus, {None: 1}),
+            (Op.Aminus, Op.Aplus, {None: 1}),
+            (Op.Aplus, Op.Bplus, {}),
+            (Op.Aplus, Op.Bminus, {}),
+            (Op.Aminus, Op.Bplus, {}),
+            (Op.Aminus, Op.Bminus, {}),
+        ],
+        "su2-commutators": [
+            (Op.J3, Op.Jplus, {Op.Jplus: 1}),
+            (Op.J3, Op.Jminus, {Op.Jminus: -1}),
+            (Op.Jplus, Op.Jminus, {Op.J3: 2}),
+        ],
+        "su11-commutators": [
+            (Op.K3, Op.Kplus, {Op.Kplus: 1}),
+            (Op.K3, Op.Kminus, {Op.Kminus: -1}),
+            (Op.Kplus, Op.Kminus, {Op.K3: -2}),
+        ],
+        "r-ladder-commutators": [
+            (Op.R3, Op.Rplus, {Op.Rplus: 2}),
+            (Op.R3, Op.Rminus, {Op.Rminus: -2}),
+            (Op.Rplus, Op.Rminus, {Op.R3: -4}),
+        ],
+        "s-ladder-commutators": [
+            (Op.S3, Op.Splus, {Op.Splus: 2}),
+            (Op.S3, Op.Sminus, {Op.Sminus: -2}),
+            (Op.Splus, Op.Sminus, {Op.S3: -4}),
+        ],
+        "r-s-cross-commutators": [
+            (Op.Rplus, Op.Splus, {}),
+            (Op.Rplus, Op.Sminus, {}),
+            (Op.Rminus, Op.Splus, {}),
+            (Op.Rminus, Op.Sminus, {}),
+        ],
+    }
+    assert list(verify._LADDER_RELATIONS.items()) == list(hand_written.items())
 
 
 def test_commutators_exact_on_block():
@@ -444,5 +514,7 @@ def test_injected_defect_breaks_closure_detection():
 
 
 def test_unknown_defect_rejected():
-    with pytest.raises(ValueError):
-        oa.set_injected_defect("nope")
+    with pytest.raises(ValueError, match="unknown defect"):
+        with oa.injected_defect("nope"):
+            pass
+    assert oa._injected_defect is None
