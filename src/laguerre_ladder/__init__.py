@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .basis import BasisIndex, Carrier, carrier_L, carrier_M, evaluate, evaluate_derivative
 from .exactpoly import LaurentPoly, alpha_ladder_check, de_residual, laguerre
 from .opalgebra import (
-    LabelVector,
     OperatorName,
     StructureConstants,
     apply_diff,
@@ -34,10 +33,8 @@ from .plane import (
     decompose,
     eval_Z,
     gram_2d,
-    inner_product_2d,
     mode_casimir,
     mode_commutator,
-    radial_de_residual,
     reconstruct,
 )
 from .quadrature import (

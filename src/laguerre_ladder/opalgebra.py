@@ -9,7 +9,10 @@ and second-order equation operators, in two realizations:
   on the diagonal), so commutators, Casimir eigenvalues, the so(3,2)
   structure constants, the Killing form and its Casimir, none of which
   depend on the basis, come out in int/Fraction arithmetic; the radical
-  ring is used only to round a normalised matrix element to a float, and
+  ring is used only to round a normalised matrix element to a float, in
+  the one float action (``apply_label``, ``commutator_label``) on plain
+  mappings {(n, p): coefficient} over the normalised states, real or
+  complex, and
 * differential forms on carriers, applied to the exact core of each
   carrier once (one symbolic table for the first-order forms) and then
   evaluated pointwise.
@@ -33,7 +36,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import factorial
+from math import prod
 from types import MappingProxyType
 from typing import Literal, Mapping, Sequence
 
@@ -192,122 +195,58 @@ def normalised(
 
     ``vec`` is the image of the unnormalised state |s>_o, s = source.
     Dividing by sqrt(s!) and renormalising each target turns a coefficient
-    c on t into c * sqrt(t!/s!), where (n, p)! means n! p!.  The radical
-    form is canonical, so the float it rounds to does not depend on how c
-    was built.
+    c on t into c * sqrt(t!/s!), where (n, p)! means n! p!.  The ratio is
+    the product of the factors by which the labels differ, not a quotient of
+    full factorials, whose cost grows with the labels.  The radical form is
+    canonical, so the float it rounds to does not depend on how c was built.
     """
     n, p = source
-    weight = factorial(n) * factorial(p)
-    return {
-        t: SqrtSum.sqrt(Fraction(factorial(t.n) * factorial(t.p), weight)) * c
-        for t, c in vec.items()
-    }
+
+    def ratio(t: BasisIndex) -> Fraction:
+        up = prod(range(n + 1, t.n + 1)) * prod(range(p + 1, t.p + 1))
+        return Fraction(up, prod(range(t.n + 1, n + 1)) * prod(range(t.p + 1, p + 1)))
+
+    return {t: SqrtSum.sqrt(ratio(t)) * c for t, c in vec.items()}
 
 
 # ---------------------------------------------------------------------------
-# Public floating-point label vectors
+# Float label action on normalised coefficients
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LabelVector:
-    """Finite linear combination of basis labels with real coefficients."""
-
-    terms: dict[BasisIndex, float]
-
-    def __post_init__(self):
-        self.terms = {BasisIndex(*k): float(v) for k, v in self.terms.items() if v}
-
-    @staticmethod
-    def basis_state(n: int, p: int) -> "LabelVector":
-        return LabelVector({BasisIndex(n, p): 1.0})
-
-    def __add__(self, other: "LabelVector") -> "LabelVector":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0.0) + v
-        return LabelVector(out)
-
-    def __sub__(self, other: "LabelVector") -> "LabelVector":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0.0) - v
-        return LabelVector(out)
-
-    def __mul__(self, s: float) -> "LabelVector":
-        return LabelVector({k: v * s for k, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def get(self, n: int, p: int) -> float:
-        return self.terms.get(BasisIndex(n, p), 0.0)
-
-    def max_abs_diff(self, other: "LabelVector") -> float:
-        keys = set(self.terms) | set(other.terms)
-        return max(
-            (abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) for k in keys),
-            default=0.0,
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
-def _float_images(image, terms: Mapping, zero):
+def _float_images(image, terms: Mapping) -> dict[BasisIndex, float | complex]:
     """Sum of coeff * image(n, p) over the terms, each element rounded once.
 
     ``image(n, p)`` is the exact image of the unnormalised state; it is
-    renormalised to the normalised state before rounding.  ``zero`` (0.0 or
-    0j) starts each target's running sum.
+    renormalised to the normalised state before rounding.  Each target's
+    sum starts at int 0, so it is real for real coefficients and complex
+    for complex ones; targets whose sum is exactly zero are dropped.
     """
     out: dict = {}
     for (n, p), coeff in terms.items():
         for target, elem in normalised((n, p), image(n, p)).items():
-            out[target] = out.get(target, zero) + coeff * float(elem)
-    return out
+            out[target] = out.get(target, 0) + coeff * float(elem)
+    return {k: v for k, v in out.items() if v}
 
 
-def label_action(op: OperatorName, terms: Mapping, zero=0.0) -> dict[BasisIndex, complex]:
-    """Float action of op on normalised coefficients, real or complex."""
-    return _float_images(lambda n, p: _terms(op, n, p), terms, zero)
+def apply_label(op: OperatorName, terms: Mapping) -> dict[BasisIndex, float | complex]:
+    """Action of op on normalised coefficients {(n, p): c}, real or complex.
+
+    Boundary labels annihilate cleanly.
+    """
+    return _float_images(lambda n, p: _terms(op, n, p), terms)
 
 
-def commutator_action(
-    opA: OperatorName, opB: OperatorName, terms: Mapping, zero=0.0
-) -> dict[BasisIndex, complex]:
-    """Float action of (opA opB - opB opA) with exact element products per state."""
-    return _float_images(
-        lambda n, p: commutator_exact(opA, opB, exact_state(n, p)), terms, zero
-    )
-
-
-def apply_label(op: OperatorName, v: LabelVector) -> LabelVector:
-    """Matrix-element action of op; boundary labels annihilate cleanly."""
-    return LabelVector(label_action(op, v.terms))
-
-
-def commutator_label(opA: OperatorName, opB: OperatorName, v: LabelVector) -> LabelVector:
-    """(opA opB - opB opA) applied to v: ``commutator_action`` on its terms.
+def commutator_label(
+    opA: OperatorName, opB: OperatorName, terms: Mapping
+) -> dict[BasisIndex, float | complex]:
+    """(opA opB - opB opA) on normalised coefficients {(n, p): c}.
 
     Element products are exact per source state, and each state's image is
     rounded once, so rational-valued commutators on a basis state come out
     bit-exact.
     """
-    return LabelVector(commutator_action(opA, opB, v.terms))
-
-
-def twisted_swap(v: LabelVector) -> LabelVector:
-    """Label swap with the alternating sign of the basis symmetry.
-
-    Sends the state (n, p) to (-1)**(p-n) times (p, n); it squares to the
-    identity and realizes the n <-> p interchange at the function level.
-    """
-    out: dict[BasisIndex, float] = {}
-    for (n, p), coeff in v.terms.items():
-        sign = -1.0 if (p - n) % 2 else 1.0
-        key = BasisIndex(p, n)
-        out[key] = out.get(key, 0.0) + sign * coeff
-    return LabelVector(out)
+    return _float_images(lambda n, p: commutator_exact(opA, opB, exact_state(n, p)), terms)
 
 
 # ---------------------------------------------------------------------------

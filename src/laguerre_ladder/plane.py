@@ -182,19 +182,14 @@ def _radial_terms(idx: ModeIndex, r: float) -> tuple[float, ...]:
     )
 
 
-def radial_de_residual(idx: ModeIndex, r: float) -> float:
-    """Residual of the radial equation at r > 0.
-
-    The sum of `_radial_terms`, so the result is rounding-level, not
-    truncation-level.
-    """
-    # Plain left-to-right addition: the builtin sum compensates on Python 3.12+.
-    return reduce(operator.add, _radial_terms(idx, r))
-
-
 def radial_de_relative(idx: ModeIndex, r: float) -> float:
-    """|radial_de_residual| over the largest magnitude among its terms (r > 0)."""
+    """Residual of the radial equation at r > 0, relative to its largest term.
+
+    The residual is the sum of `_radial_terms`, so the result is
+    rounding-level, not truncation-level.
+    """
     terms = _radial_terms(idx, r)
+    # Plain left-to-right addition: the builtin sum compensates on Python 3.12+.
     return abs(reduce(operator.add, terms)) / max(abs(term) for term in terms)
 
 
@@ -207,27 +202,14 @@ def radial_samples(modes: list[ModeIndex], grid: PolarGrid) -> list[np.ndarray]:
     return [node_values(radial_carrier(idx), grid.rule) for idx in modes]
 
 
-def inner_product_2d(idxA: ModeIndex, idxB: ModeIndex, grid: PolarGrid) -> complex:
-    """Discretized plane inner product of two modes (conjugate on the first)."""
-    idxA = _check_mode(ModeIndex(*idxA))
-    idxB = _check_mode(ModeIndex(*idxB))
-    grid.require_support(max(idxA.j, idxB.j))
-    d = idxB.m - idxA.m
-    angular = sum(cmath.exp(1j * d * phi) for phi in grid.angular_nodes) / grid.angular_count
-    # The exp(-x/2) factors pair into the rule's exp(-x) weight, so the
-    # radial sum is the exact polynomial integral.
-    ya = node_values(radial_carrier(idxA), grid.rule)
-    yb = node_values(radial_carrier(idxB), grid.rule)
-    radial = math.fsum(w * a * b for w, a, b in zip(grid.radial_weights, ya, yb))
-    return angular * radial
-
-
 def gram_2d(jmax: int, grid: PolarGrid) -> np.ndarray:
     """Gram matrix of all modes through jmax; should be the identity.
 
-    Radial node values are computed once per distinct carrier and combined
-    with the exact angular averages, which is the same double sum as the
-    pairwise inner product, just batched.
+    Entry (a, b) is the discretized plane inner product of modes a and b,
+    conjugate on the first: the radial rule's sum of their carriers (the
+    exp(-x/2) factors pair into the rule's exp(-x) weight, so it is the
+    exact polynomial integral) times the exact angular average of
+    exp(i (m_b - m_a) phi).
     """
     grid.require_support(jmax)
     modes = modes_up_to(jmax)
@@ -308,7 +290,7 @@ def apply_mode_operator(op: OperatorName, coeffs: ModeCoefficients) -> ModeCoeff
     """
     if op not in _MODE_OPERATORS:
         raise ValueError(f"operator {op.value} does not act on mode amplitudes")
-    return _modes(opalgebra.label_action(op, _labels(coeffs), 0j), coeffs.jmax)
+    return _modes(opalgebra.apply_label(op, _labels(coeffs)), coeffs.jmax)
 
 
 def mode_casimir(coeffs: ModeCoefficients) -> ModeCoefficients:
@@ -334,4 +316,4 @@ def mode_commutator(
     """
     if opA not in _MODE_OPERATORS or opB not in _MODE_OPERATORS:
         raise ValueError("mode commutators are defined for the spin ladder operators")
-    return _modes(opalgebra.commutator_action(opA, opB, _labels(coeffs), 0j), coeffs.jmax)
+    return _modes(opalgebra.commutator_label(opA, opB, _labels(coeffs)), coeffs.jmax)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from laguerre_ladder import opalgebra as oa
 from laguerre_ladder import verify
 from laguerre_ladder.basis import BasisIndex, carrier_M, evaluate
-from laguerre_ladder.opalgebra import LabelVector, OperatorName as Op
+from laguerre_ladder.opalgebra import OperatorName as Op
 from laguerre_ladder.radicals import SqrtSum
 
 labels = st.tuples(st.integers(0, 12), st.integers(0, 12))
@@ -20,46 +20,46 @@ labels = st.tuples(st.integers(0, 12), st.integers(0, 12))
 
 
 def test_raising_example():
-    v = oa.apply_label(Op.Aplus, LabelVector.basis_state(0, 0))
-    assert v.terms == {BasisIndex(1, 0): 1.0}
+    v = oa.apply_label(Op.Aplus, {(0, 0): 1.0})
+    assert v == {BasisIndex(1, 0): 1.0}
 
 
 def test_spin_raising_example():
-    v = oa.apply_label(Op.Jplus, LabelVector.basis_state(1, 2))
-    assert v.terms == {BasisIndex(2, 1): 2.0}
+    v = oa.apply_label(Op.Jplus, {(1, 2): 1.0})
+    assert v == {BasisIndex(2, 1): 2.0}
 
 
 def test_double_raising_composed_matrix_element():
     # Hand expansion of the defining commutator: (p+1)sqrt((n+1)(n+2)) from
     # one ordering minus p sqrt((n+1)(n+2)) from the other.
     for n, p in [(0, 0), (3, 5), (7, 2)]:
-        v = oa.apply_label(Op.Rplus, LabelVector.basis_state(n, p))
-        assert set(v.terms) == {BasisIndex(n + 2, p)}
-        assert v.terms[BasisIndex(n + 2, p)] == pytest.approx(
+        v = oa.apply_label(Op.Rplus, {(n, p): 1.0})
+        assert set(v) == {BasisIndex(n + 2, p)}
+        assert v[BasisIndex(n + 2, p)] == pytest.approx(
             math.sqrt((n + 1) * (n + 2)), rel=1e-14
         )
 
 
 def test_boundary_annihilation():
-    assert oa.apply_label(Op.Kminus, LabelVector.basis_state(0, 5)).is_zero()
-    assert oa.apply_label(Op.Aminus, LabelVector.basis_state(0, 3)).is_zero()
-    assert oa.apply_label(Op.Jplus, LabelVector.basis_state(4, 0)).is_zero()
+    assert oa.apply_label(Op.Kminus, {(0, 5): 1.0}) == {}
+    assert oa.apply_label(Op.Aminus, {(0, 3): 1.0}) == {}
+    assert oa.apply_label(Op.Jplus, {(4, 0): 1.0}) == {}
 
 
 def test_diagonal_operators():
-    v = LabelVector.basis_state(3, 1)
-    assert oa.apply_label(Op.J3, v).terms == {BasisIndex(3, 1): 1.0}
-    assert oa.apply_label(Op.K3, v).terms == {BasisIndex(3, 1): 2.5}
-    assert oa.apply_label(Op.R3, v).terms == {BasisIndex(3, 1): 3.5}
-    assert oa.apply_label(Op.S3, v).terms == {BasisIndex(3, 1): 1.5}
-    assert oa.apply_label(Op.E, v).is_zero()
+    v = {(3, 1): 1.0}
+    assert oa.apply_label(Op.J3, v) == {BasisIndex(3, 1): 1.0}
+    assert oa.apply_label(Op.K3, v) == {BasisIndex(3, 1): 2.5}
+    assert oa.apply_label(Op.R3, v) == {BasisIndex(3, 1): 3.5}
+    assert oa.apply_label(Op.S3, v) == {BasisIndex(3, 1): 1.5}
+    assert oa.apply_label(Op.E, v) == {}
 
 
 def test_position_operator_tridiagonal():
-    v = oa.apply_label(Op.X, LabelVector.basis_state(2, 3))
-    assert v.terms[BasisIndex(2, 3)] == pytest.approx(6.0)
-    assert v.terms[BasisIndex(3, 4)] == pytest.approx(-math.sqrt(12), rel=1e-14)
-    assert v.terms[BasisIndex(1, 2)] == pytest.approx(-math.sqrt(6), rel=1e-14)
+    v = oa.apply_label(Op.X, {(2, 3): 1.0})
+    assert v[BasisIndex(2, 3)] == pytest.approx(6.0)
+    assert v[BasisIndex(3, 4)] == pytest.approx(-math.sqrt(12), rel=1e-14)
+    assert v[BasisIndex(1, 2)] == pytest.approx(-math.sqrt(6), rel=1e-14)
 
 
 def _closed_forms(n, p):
@@ -98,10 +98,10 @@ def test_label_actions_pinned_to_closed_forms():
     # (annihilation at a boundary) must leave no term.
     for n in range(13):
         for p in range(13):
-            state = LabelVector.basis_state(n, p)
+            state = {(n, p): 1.0}
             for op, image in _closed_forms(n, p).items():
                 expected = {t: float(v).hex() for t, v in image.items() if v}
-                got = {tuple(t): v.hex() for t, v in oa.apply_label(op, state).terms.items()}
+                got = {tuple(t): v.hex() for t, v in oa.apply_label(op, state).items()}
                 assert got == expected, (op, n, p)
 
 
@@ -178,7 +178,7 @@ def test_single_steps_annihilate_exactly_off_the_lattice():
 
 def test_derivative_has_no_label_action():
     with pytest.raises(ValueError, match="label-space"):
-        oa.apply_label(Op.Dx, LabelVector.basis_state(1, 1))
+        oa.apply_label(Op.Dx, {(1, 1): 1.0})
 
 
 # -- commutators -------------------------------------------------------------------
@@ -188,29 +188,29 @@ def test_derivative_has_no_label_action():
 @settings(max_examples=50, deadline=None)
 def test_boson_commutator_is_identity(label):
     n, p = label
-    v = LabelVector.basis_state(n, p)
-    assert oa.commutator_label(Op.Bminus, Op.Bplus, v).terms == {BasisIndex(n, p): 1.0}
-    assert oa.commutator_label(Op.Aminus, Op.Aplus, v).terms == {BasisIndex(n, p): 1.0}
+    v = {(n, p): 1.0}
+    assert oa.commutator_label(Op.Bminus, Op.Bplus, v) == {BasisIndex(n, p): 1.0}
+    assert oa.commutator_label(Op.Aminus, Op.Aplus, v) == {BasisIndex(n, p): 1.0}
 
 
 @given(labels)
 @settings(max_examples=50, deadline=None)
 def test_spin_commutator_is_twice_diagonal(label):
     n, p = label
-    got = oa.commutator_label(Op.Jplus, Op.Jminus, LabelVector.basis_state(n, p))
+    got = oa.commutator_label(Op.Jplus, Op.Jminus, {(n, p): 1.0})
     if n == p:
-        assert got.is_zero()
+        assert got == {}
     else:
-        assert got.terms == {BasisIndex(n, p): float(n - p)}
+        assert got == {BasisIndex(n, p): float(n - p)}
 
 
 @given(labels)
 @settings(max_examples=50, deadline=None)
 def test_cross_family_commutators_vanish(label):
-    v = LabelVector.basis_state(*label)
-    assert oa.commutator_label(Op.Rplus, Op.Sminus, v).is_zero()
-    assert oa.commutator_label(Op.Rplus, Op.Splus, v).is_zero()
-    assert oa.commutator_label(Op.Aplus, Op.Bminus, v).is_zero()
+    v = {label: 1.0}
+    assert oa.commutator_label(Op.Rplus, Op.Sminus, v) == {}
+    assert oa.commutator_label(Op.Rplus, Op.Splus, v) == {}
+    assert oa.commutator_label(Op.Aplus, Op.Bminus, v) == {}
 
 
 def test_ladder_relations_derived_from_the_triples():
@@ -268,14 +268,34 @@ def test_commutators_exact_on_block():
             assert lhs == oa.apply_exact(Op.Kplus, vec)
 
 
+def _signed_swap(v):
+    """The state (n, p) to (-1)**(p - n) times (p, n)."""
+    return {(p, n): -c if (p - n) % 2 else c for (n, p), c in v.items()}
+
+
 def test_interchange_symmetry():
     for n in range(8):
         for p in range(8):
-            v = LabelVector.basis_state(n, p)
+            v = {(n, p): 1.0}
             for op_a, op_b in ((Op.Aplus, Op.Bplus), (Op.Aminus, Op.Bminus)):
                 direct = oa.apply_label(op_a, v)
-                swapped = oa.twisted_swap(oa.apply_label(op_b, oa.twisted_swap(v)))
-                assert direct.max_abs_diff(-1.0 * swapped) == 0.0, (n, p, op_a)
+                swapped = _signed_swap(oa.apply_label(op_b, _signed_swap(v)))
+                assert direct == {t: -c for t, c in swapped.items()}, (n, p, op_a)
+
+
+def test_interchange_check_detects_a_broken_generator(monkeypatch):
+    dn, dp, _ = oa._SHIFTS[Op.Bplus]
+    assert verify.suite_algebra(nmax=3)["interchange-symmetry"]["pass"] is True
+    monkeypatch.setitem(oa._SHIFTS, Op.Bplus, (dn, dp, lambda n, p: 2))
+    oa._image.cache_clear()
+    try:
+        check = verify.suite_algebra(nmax=3)["interchange-symmetry"]
+    finally:
+        monkeypatch.undo()
+        oa._image.cache_clear()
+    assert check["pass"] is False
+    assert check["max_residual"] > 0
+    assert verify.suite_algebra(nmax=3)["interchange-symmetry"]["pass"] is True
 
 
 # -- Casimir eigenvalues ---------------------------------------------------------
@@ -402,7 +422,7 @@ def test_label_and_differential_realizations_agree():
     for n in range(0, 11, 2):
         for p in range(0, 11, 2):
             c = carrier_M(n, p)
-            state = LabelVector.basis_state(n, p)
+            state = {(n, p): 1.0}
             floor = max(abs(evaluate(c, float(x))) for x in xs)
             for op in ops:
                 image = oa.apply_label(op, state)
@@ -410,7 +430,7 @@ def test_label_and_differential_realizations_agree():
                     lhs = oa.apply_diff(op, c, float(x))
                     rhs = sum(
                         coeff * evaluate(carrier_M(*lbl), float(x))
-                        for lbl, coeff in image.terms.items()
+                        for lbl, coeff in image.items()
                     )
                     scale = max(abs(lhs), abs(rhs), floor)
                     assert abs(lhs - rhs) / scale < 1e-9, (op, n, p, x)

@@ -18,11 +18,9 @@ from laguerre_ladder.plane import (
     decompose,
     eval_Z,
     gram_2d,
-    inner_product_2d,
     mode_commutator,
     modes_up_to,
     radial_de_relative,
-    radial_de_residual,
     reconstruct,
 )
 from laguerre_ladder.radicals import SqrtSum
@@ -84,10 +82,9 @@ def test_radial_equation_residual(j, m):
 
 
 def test_radial_equation_needs_positive_radius():
-    for func in (radial_de_residual, radial_de_relative):
-        for r in (0.0, -0.5):
-            with pytest.raises(ValueError, match="r must be positive"):
-                func(ModeIndex(1, 0), r)
+    for r in (0.0, -0.5):
+        with pytest.raises(ValueError, match="r must be positive"):
+            radial_de_relative(ModeIndex(1, 0), r)
 
 
 # -- grids and inner products ----------------------------------------------------------
@@ -103,10 +100,15 @@ def test_grid_validation():
 
 
 def test_inner_product_examples(grid):
-    one = inner_product_2d(ModeIndex(2, 1), ModeIndex(2, 1), grid)
-    assert one == pytest.approx(1.0, abs=1e-11)
-    assert abs(inner_product_2d(ModeIndex(2, 1), ModeIndex(3, 1), grid)) < 1e-11
-    assert abs(inner_product_2d(ModeIndex(2, 1), ModeIndex(2, -1), grid)) < 1e-11
+    index = {idx: k for k, idx in enumerate(modes_up_to(3))}
+    gram = gram_2d(3, grid)
+
+    def entry(a, b):
+        return gram[index[ModeIndex(*a)], index[ModeIndex(*b)]]
+
+    assert entry((2, 1), (2, 1)) == pytest.approx(1.0, abs=1e-11)
+    assert abs(entry((2, 1), (3, 1))) < 1e-11
+    assert abs(entry((2, 1), (2, -1))) < 1e-11
 
 
 def test_gram_identity(grid):
@@ -182,6 +184,16 @@ def test_raising_example():
         Op.Jplus, ModeCoefficients(coeffs={ModeIndex(1, 0): 1.0}, jmax=1)
     )
     assert out.coeffs == {ModeIndex(1, 1): float(SqrtSum.sqrt(2))}
+
+
+def test_raising_at_large_j_matches_the_factorial_form():
+    # The element sqrt(j (j + 1)) at j = 10**6, bit for bit the float that
+    # t!/s! formed from full factorials rounds to.
+    j = 10**6
+    out = apply_mode_operator(Op.Jplus, ModeCoefficients(coeffs={ModeIndex(j, 0): 1.0}, jmax=j))
+    assert list(out.coeffs) == [ModeIndex(j, 1)]
+    assert out.get(j, 1).real.hex() == "0x1.e8480fffffbcfp+19"
+    assert out.get(j, 1).imag == 0.0
 
 
 def test_raising_annihilates_at_band_edge():
