@@ -7,7 +7,8 @@ and the call.  The calls cover exit codes 0, 1 (injected defects) and 2
 (invalid input), the JSON report and the CSV formats, the largest
 quadrature rule (order 200), and the benchmark's
 plane round trip: a jmax-8 mode file to a 96 x 64 field, with and without
-``--apply J3``, decomposed again, and one field with a misplaced sample.
+``--apply J3``, decomposed again, one field with a misplaced sample, and
+``--apply Jplus`` on a single mode at large j (999,983).
 Run it on two checkouts and diff the outputs to confirm that a change
 leaves every command's output byte-identical:
 
@@ -59,12 +60,14 @@ def _misplace_one_sample(field_text: str) -> str:
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         modes, modes8 = Path(tmp) / "modes.csv", Path(tmp) / "modes8.csv"
+        large_j = Path(tmp) / "large-j.csv"
         field, field96, field96_j3, misplaced = (
             Path(tmp) / name
             for name in ("field.csv", "field96.csv", "field96-j3.csv", "misplaced.csv")
         )
         modes.write_text(_mode_file_text(), encoding="utf-8")
         modes8.write_text(_mode_file_text(8), encoding="utf-8")
+        large_j.write_text("j,m,re,im\n999983,0,1.0,0.0\n", encoding="utf-8")
         # decompose reads the output of these three
         to_field = ["modes", "--input", str(modes), "--to-field"]
         to_field96 = ["modes", "--input", str(modes8), "--to-field",
@@ -93,6 +96,7 @@ def main() -> None:
             ["decompose", "--input", str(field96), "--jmax", "8"],
             ["decompose", "--input", str(field96_j3), "--jmax", "8"],
             ["decompose", "--input", str(misplaced), "--jmax", "8"],
+            ["modes", "--input", str(large_j), "--apply", "Jplus"],
         ]
         for argv in calls:
             code, stdout, stderr = _run(argv)

@@ -309,7 +309,15 @@ def _modes_from_rows(table: np.ndarray) -> ModeCoefficients:
     for j, m, re, im in table.tolist():
         if j != int(j) or m != int(m):
             raise ValueError(f"mode labels must be integers (got j={j}, m={m})")
-        coeffs[ModeIndex(int(j), int(m))] = complex(re, im)
+        idx = ModeIndex(int(j), int(m))
+        # Cells are read as floats, which hold every integer only below 2**53.
+        if max(abs(idx.j), abs(idx.m)) >= 2**53:
+            raise ValueError(
+                f"mode label (j={idx.j}, m={idx.m}) is not below 2**53, so reading it may round it"
+            )
+        if idx in coeffs:
+            raise ValueError(f"duplicate mode label (j={idx.j}, m={idx.m})")
+        coeffs[idx] = complex(re, im)
     jmax = max((idx.j for idx in coeffs), default=0)
     return ModeCoefficients(coeffs=coeffs, jmax=jmax)
 

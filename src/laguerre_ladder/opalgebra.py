@@ -8,8 +8,8 @@ and second-order equation operators, in two realizations:
   realisation every generator has integer matrix elements (half-integers
   on the diagonal), so commutators, Casimir eigenvalues, the so(3,2)
   structure constants, the Killing form and its Casimir, none of which
-  depend on the basis, come out in int/Fraction arithmetic; the radical
-  ring is used only to round a normalised matrix element to a float, in
+  depend on the basis, come out in int/Fraction arithmetic; a normalised
+  matrix element is formed as one exact radical only to round it, in
   the one float action (``apply_label``, ``commutator_label``) on plain
   mappings {(n, p): coefficient} over the normalised states, real or
   complex, and
@@ -36,7 +36,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import prod
 from types import MappingProxyType
 from typing import Literal, Mapping, Sequence
 
@@ -195,18 +194,25 @@ def normalised(
 
     ``vec`` is the image of the unnormalised state |s>_o, s = source.
     Dividing by sqrt(s!) and renormalising each target turns a coefficient
-    c on t into c * sqrt(t!/s!), where (n, p)! means n! p!.  The ratio is
-    the product of the factors by which the labels differ, not a quotient of
-    full factorials, whose cost grows with the labels.  The radical form is
-    canonical, so the float it rounds to does not depend on how c was built.
+    c on t into c * sqrt(t!/s!), where (n, p)! means n! p!.  The root is
+    the product of the radicals of the factors by which the labels differ,
+    each split on its own, so no radicand exceeds the larger label (a
+    generator moves each label by at most two: at most four factors).  The
+    radical form is unique, so the float it rounds to does not depend on how
+    c was built.
     """
     n, p = source
 
-    def ratio(t: BasisIndex) -> Fraction:
-        up = prod(range(n + 1, t.n + 1)) * prod(range(p + 1, t.p + 1))
-        return Fraction(up, prod(range(t.n + 1, n + 1)) * prod(range(t.p + 1, p + 1)))
+    def element(t: BasisIndex, c: int | Fraction) -> SqrtSum:
+        out = SqrtSum(c)
+        for s, u in ((n, t.n), (p, t.p)):
+            for k in range(s + 1, u + 1):
+                out = out * SqrtSum.sqrt(k)
+            for k in range(u + 1, s + 1):
+                out = out * SqrtSum.sqrt(Fraction(1, k))
+        return out
 
-    return {t: SqrtSum.sqrt(ratio(t)) * c for t, c in vec.items()}
+    return {t: element(t, c) for t, c in vec.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Exact arithmetic on finite sums of rational multiples of square roots.
+"""Exact single radicals q*sqrt(s): q rational, s a squarefree positive integer.
 
-Values look like ``sum_s q_s * sqrt(s)`` with squarefree positive integer
-radicands s and rational q_s.  Products reduce radicands exactly:
-sqrt(6)*sqrt(6) is the integer 6.  The operator algebra computes in the
-integer gauge and uses this ring only at its float boundary: a normalised
-matrix element c*sqrt(t!/s!) takes its canonical form here and is rounded
-once, so the float does not depend on how c was computed.
+In the integer gauge every normalised matrix element is c*sqrt(t!/s!), one
+radical.  The operator algebra computes in integers and uses this module
+only at its float boundary: an element is built here as the product of the
+radicals of the label factors by which t and s differ, and then rounded.
+The form q*sqrt(s) is unique, so the float does not depend on how the
+element was built.
 """
 
 from __future__ import annotations
@@ -15,11 +15,13 @@ from fractions import Fraction
 
 
 def float_sqrt(q: Fraction) -> float:
-    """Correctly rounded-to-~1ulp float of sqrt(q) for q >= 0.
+    """Faithfully rounded float of sqrt(q) for q >= 0.
 
     Works through one integer square root, so it neither overflows nor
     underflows prematurely: sqrt of a sub-subnormal rational still comes
-    out as its representable square root.
+    out as its representable square root.  The floored root carries at
+    least 60 correct bits, so the result is one of the two floats around
+    the true root; it is not proven to be the nearer one.
     """
     if q < 0:
         raise ValueError(f"cannot take sqrt of negative value {q}")
@@ -51,17 +53,18 @@ def squarefree_split(k: int) -> tuple[int, int]:
 
 
 class SqrtSum:
-    """Immutable element of the ring Q[sqrt(2), sqrt(3), sqrt(5), ...]."""
+    """Immutable radical q*sqrt(s) with s squarefree; zero is 0*sqrt(1).
 
-    __slots__ = ("_terms",)
+    ``SqrtSum(q)`` is the rational q.  The constructor trusts that s is
+    squarefree; ``sqrt`` and ``*`` keep that form without trial division
+    of a product.
+    """
 
-    def __init__(self, terms: dict[int, Fraction] | None = None):
-        self._terms = {s: q for s, q in (terms or {}).items() if q}
+    __slots__ = ("_q", "_s")
 
-    @staticmethod
-    def of(q) -> "SqrtSum":
-        q = Fraction(q)
-        return SqrtSum({1: q} if q else {})
+    def __init__(self, q: int | Fraction = 0, s: int = 1):
+        self._q = Fraction(q)
+        self._s = s if q else 1
 
     @staticmethod
     def sqrt(k) -> "SqrtSum":
@@ -72,71 +75,25 @@ class SqrtSum:
         if k == 0:
             return SqrtSum()
         outer, inner = squarefree_split(k.numerator * k.denominator)
-        return SqrtSum({inner: Fraction(outer, k.denominator)})
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "SqrtSum") -> "SqrtSum":
-        if not isinstance(other, SqrtSum):
-            return NotImplemented
-        out = dict(self._terms)
-        for s, q in other._terms.items():
-            out[s] = out.get(s, Fraction(0)) + q
-        return SqrtSum(out)
-
-    def __sub__(self, other: "SqrtSum") -> "SqrtSum":
-        if not isinstance(other, SqrtSum):
-            return NotImplemented
-        out = dict(self._terms)
-        for s, q in other._terms.items():
-            out[s] = out.get(s, Fraction(0)) - q
-        return SqrtSum(out)
-
-    def __neg__(self) -> "SqrtSum":
-        return SqrtSum({s: -q for s, q in self._terms.items()})
+        return SqrtSum(Fraction(outer, k.denominator), inner)
 
     def __mul__(self, other):
         if isinstance(other, SqrtSum):
-            out: dict[int, Fraction] = {}
-            for s, q in self._terms.items():
-                for t, r in other._terms.items():
-                    outer, inner = squarefree_split(s * t)
-                    out[inner] = out.get(inner, Fraction(0)) + q * r * outer
-            return SqrtSum(out)
+            # s1*s2 = g**2 * (s1/g) * (s2/g); coprime squarefree cofactors
+            # leave a squarefree product.
+            g = math.gcd(self._s, other._s)
+            return SqrtSum(self._q * other._q * g, (self._s // g) * (other._s // g))
         if isinstance(other, (int, Fraction)):
-            return SqrtSum({s: q * other for s, q in self._terms.items()})
+            return SqrtSum(self._q * other, self._s)
         return NotImplemented
-
-    __rmul__ = __mul__
-
-    # -- inspection -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SqrtSum):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self._terms == SqrtSum.of(other)._terms
+            return (self._q, self._s) == (other._q, other._s)
         return NotImplemented
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def is_rational(self) -> bool:
-        return all(s == 1 for s in self._terms)
-
-    def as_fraction(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        if not self.is_rational():
-            raise ValueError(f"value is irrational: {self!r}")
-        return self._terms[1]
-
     def __float__(self) -> float:
-        return math.fsum(float(q) * math.sqrt(s) for s, q in sorted(self._terms.items()))
+        return float(self._q) * math.sqrt(self._s)
 
     def __repr__(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(
-            f"{q}" if s == 1 else f"{q}*sqrt({s})" for s, q in sorted(self._terms.items())
-        )
+        return f"{self._q}" if self._s == 1 else f"{self._q}*sqrt({self._s})"

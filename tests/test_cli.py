@@ -340,6 +340,23 @@ def test_modes_apply_raising(tmp_path, capsys):
     assert float(re) == pytest.approx(math.sqrt(2), rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "rows, named",
+    [
+        ("2,1,1,0\n1,0,1,0\n2,1,0.5,0\n", "duplicate mode label (j=2, m=1)"),
+        # 2**53 + 1 reads as the float 2**53.
+        ("9007199254740993,0,1,0\n", "(j=9007199254740992, m=0) is not below 2**53"),
+    ],
+)
+def test_modes_ambiguous_labels_exit_2(tmp_path, capsys, rows, named):
+    path = tmp_path / "modes.csv"
+    path.write_text("j,m,re,im\n" + rows)
+    code, out, err = run(capsys, "modes", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert named in err
+
+
 def test_modes_bad_header(tmp_path, capsys):
     path = tmp_path / "modes.csv"
     path.write_text("a,b,c,d\n1,0,1,0\n")

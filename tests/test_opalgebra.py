@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laguerre_ladder import cli, radicals
 from laguerre_ladder import opalgebra as oa
 from laguerre_ladder import verify
 from laguerre_ladder.basis import BasisIndex, carrier_M, evaluate
@@ -64,7 +65,7 @@ def test_position_operator_tridiagonal():
 
 def _closed_forms(n, p):
     """Normalised image of the state (n, p) under each label operator."""
-    r, q = SqrtSum.sqrt, SqrtSum.of
+    r, q = SqrtSum.sqrt, SqrtSum
     return {
         Op.Aplus: {(n + 1, p): r(n + 1)},
         Op.Aminus: {(n - 1, p): r(n)},
@@ -79,8 +80,8 @@ def _closed_forms(n, p):
         Op.Splus: {(n, p + 2): r((p + 1) * (p + 2))},
         Op.Sminus: {(n, p - 2): r(p * (p - 1))},
         Op.X: {
-            (n + 1, p + 1): -r((n + 1) * (p + 1)),
-            (n - 1, p - 1): -r(n * p),
+            (n + 1, p + 1): r((n + 1) * (p + 1)) * -1,
+            (n - 1, p - 1): r(n * p) * -1,
             (n, p): q(n + p + 1),
         },
         Op.N: {(n, p): q(n)},
@@ -100,9 +101,55 @@ def test_label_actions_pinned_to_closed_forms():
         for p in range(13):
             state = {(n, p): 1.0}
             for op, image in _closed_forms(n, p).items():
-                expected = {t: float(v).hex() for t, v in image.items() if v}
+                expected = {t: float(v).hex() for t, v in image.items() if v != SqrtSum(0)}
                 got = {tuple(t): v.hex() for t, v in oa.apply_label(op, state).items()}
                 assert got == expected, (op, n, p)
+
+
+def _falling_ratio(top: int, bottom: int) -> Fraction:
+    """top!/bottom! as one falling factorial or its reciprocal."""
+    if top >= bottom:
+        return Fraction(math.perm(top, top - bottom))
+    return 1 / Fraction(math.perm(bottom, bottom - top))
+
+
+@given(st.integers(0, 1999), st.integers(0, 1999))
+@settings(max_examples=60, deadline=None)
+def test_factor_radicals_equal_the_whole_ratio(n, p):
+    # The product of the per-factor radicals is the unique q*sqrt(s) of
+    # c*sqrt(t!/s!), so it rounds to the float the whole ratio rounds to.
+    # [R+, S+] vanishes; the product R+ S+ shifts both labels by two, the
+    # most factors any element has.
+    state = oa.exact_state(n, p)
+    images = [oa.apply_exact(op, state) for op in Op if op is not Op.Dx]
+    images.append(oa.apply_exact(Op.Rplus, oa.apply_exact(Op.Splus, state)))
+    for image in images:
+        got = oa.normalised((n, p), image)
+        for t, c in image.items():
+            ratio = _falling_ratio(t.n, n) * _falling_ratio(t.p, p)
+            assert got[t] == SqrtSum.sqrt(ratio) * c, (n, p, t)
+
+
+def test_raising_at_prime_large_j_splits_only_label_factors(monkeypatch, tmp_path, capsys):
+    # j and (j + 1)/2 are prime: splitting the radicand j (j + 1) whole would
+    # trial-divide about 3.5e8 candidates, so any radicand beyond a single
+    # label factor fails at once instead of hanging.
+    j = 1_000_000_453
+    split = radicals.squarefree_split
+
+    def factor_only(k):
+        assert k <= j + 2, f"radicand {k} is a product of label factors"
+        return split(k)
+
+    monkeypatch.setattr(radicals, "squarefree_split", factor_only)
+    out = oa.apply_label(Op.Jplus, {(j, j): 1.0})
+    assert {tuple(t): v.hex() for t, v in out.items()} == {
+        (j + 1, j - 1): math.sqrt(j * (j + 1)).hex()
+    }
+    path = tmp_path / "modes.csv"
+    path.write_text(f"j,m,re,im\n{j},0,1,0\n")
+    assert cli.main(["modes", "--input", str(path), "--apply", "Jplus"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith(f"{j},1,")
 
 
 def test_exact_action_stays_in_integer_gauge():
@@ -261,9 +308,9 @@ def test_commutators_exact_on_block():
         for p in range(6):
             vec = oa.exact_state(n, p)
             got = oa.commutator_exact(Op.Kplus, Op.Kminus, vec)
-            assert got == ({BasisIndex(n, p): SqrtSum.of(-(n + p + 1))} if n + p + 1 else {})
+            assert got == {BasisIndex(n, p): -(n + p + 1)}
             got = oa.commutator_exact(Op.Rplus, Op.Rminus, vec)
-            assert got == {BasisIndex(n, p): SqrtSum.of(-2 * (2 * n + 1))}
+            assert got == {BasisIndex(n, p): -2 * (2 * n + 1)}
             lhs = oa.commutator_exact(Op.K3, Op.Kplus, vec)
             assert lhs == oa.apply_exact(Op.Kplus, vec)
 
