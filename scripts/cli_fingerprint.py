@@ -5,7 +5,8 @@ Each call runs in process through ``laguerre_ladder.cli.main``; the output
 is one line per call: exit code, sha256 of its stdout, sha256 of its stderr,
 and the call.  The calls cover exit codes 0, 1 (injected defects) and 2
 (invalid input), the JSON report and the CSV formats, the largest
-quadrature rule (order 200), and the benchmark's
+quadrature rule (order 200), evaluation at x = 0 and a table of a
+negative-parameter carrier, and the benchmark's
 plane round trip: a jmax-8 mode file to a 96 x 64 field, with and without
 ``--apply J3``, decomposed again, one field with a misplaced sample, and
 ``--apply Jplus`` on a single mode at large j (999,983).
@@ -90,6 +91,10 @@ def main() -> None:
             ["decompose", "--input", str(field), "--jmax", "4", "--min-power", "nan"],
             ["eval", "--family", "M", "--n", "1", "--alpha", "-5", "--x", "1"],
             ["eval", "--family", "M", "--n", "5", "--alpha", "-3", "--x", "0.7"],
+            ["eval", "--family", "M", "--n", "3", "--alpha", "0", "--x", "0"],  # coefficient(0)
+            # A negative parameter: the core is a Laurent polynomial.
+            ["table", "--family", "M", "--n", "6", "--alpha", "-4",
+             "--xmax", "30", "--points", "50"],
             # The benchmark's round trip: jmax 8 on a 96 x 64 grid.
             to_field96,
             to_field96_j3,

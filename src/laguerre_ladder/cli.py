@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -304,11 +305,35 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+def _is_integer_text(cell: str) -> bool:
+    """Whether a cell, as written, is an integer.
+
+    Reading it as a float first may round a non-integer onto an integer
+    (2.0000000000000001 reads as 2.0).  ``Decimal`` holds the written value
+    exactly without expanding its exponent, so 1e-999999999 costs nothing.
+    """
+    try:
+        value = Decimal(cell)
+    except ArithmeticError:  # an exponent beyond Decimal's range
+        return False
+    return value == value.to_integral_value()
+
+
+def _require_integer_labels(lines: list[str]) -> None:
+    """Raise naming the first row whose j or m cell is not an integer.
+
+    Runs on lines that ``_parse_csv`` accepted, so every row has its cells.
+    """
+    for lineno, line in enumerate(lines[1:], start=2):
+        labels = line.split(",")[:2]
+        if line.strip() and not all(map(_is_integer_text, labels)):
+            j, m = (cell.strip() for cell in labels)
+            raise ValueError(f"line {lineno}: mode labels must be integers (got j={j}, m={m})")
+
+
 def _modes_from_rows(table: np.ndarray) -> ModeCoefficients:
     coeffs: dict[ModeIndex, complex] = {}
     for j, m, re, im in table.tolist():
-        if j != int(j) or m != int(m):
-            raise ValueError(f"mode labels must be integers (got j={j}, m={m})")
         idx = ModeIndex(int(j), int(m))
         # Cells are read as floats, which hold every integer only below 2**53.
         if max(abs(idx.j), abs(idx.m)) >= 2**53:
@@ -323,7 +348,9 @@ def _modes_from_rows(table: np.ndarray) -> ModeCoefficients:
 
 
 def cmd_modes(args) -> int:
-    rows = _parse_csv(_read_lines(args.input), ["j", "m", "re", "im"], 4)
+    lines = _read_lines(args.input)
+    rows = _parse_csv(lines, ["j", "m", "re", "im"], 4)
+    _require_integer_labels(lines)
     coeffs = _modes_from_rows(rows)
     if args.apply:
         coeffs = plane.apply_mode_operator(OperatorName[args.apply], coeffs)

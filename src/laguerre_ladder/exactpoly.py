@@ -1,19 +1,23 @@
 """Exact Laurent-polynomial arithmetic over the rationals.
 
-A Laurent polynomial is a sparse map ``{exponent: Fraction}`` in which zero
-coefficients are never stored, so structural equality is mathematical
-equality and "is this residual the zero polynomial" is an exact question.
-On top of the ring operations the module builds the associated Laguerre
-polynomials with integer parameter, including the negative-parameter
-extension, together with exact residuals for their defining second-order
-differential equation and the parameter-shift ladder recurrences.
+A Laurent polynomial is stored as integer numerators over one positive
+denominator: a sparse map ``{exponent: int}`` with no zero stored, and an
+int ``_den``, in lowest terms (the gcd of the denominator and every
+numerator is 1).  The form is unique, so structural equality is
+mathematical equality and "is this residual the zero polynomial" is an
+exact question; the ring operations run on integers and no coefficient is
+a ``Fraction`` until ``coefficient`` or ``items`` hands it out.  On top of
+the ring operations the module builds the associated Laguerre polynomials
+with integer parameter, including the negative-parameter extension,
+together with exact residuals for their defining second-order differential
+equation and the parameter-shift ladder recurrences.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, gcd, lcm
 from typing import Mapping
 
 RationalLike = int | Fraction
@@ -23,33 +27,35 @@ class LaurentPoly:
     """Sparse Laurent polynomial with exact rational coefficients.
 
     Exponents may be negative.  Instances are treated as immutable: every
-    operation returns a new object and nothing mutates ``_coeffs`` after
-    construction, which is what lets a polynomial hash by value and keep its
-    integer Horner evaluator once built.
+    operation returns a new object and nothing mutates ``_coeffs`` or
+    ``_den`` after construction, which is what lets a polynomial hash by
+    value and keep its dense Horner list once built.
     """
 
-    __slots__ = ("_coeffs", "_horner", "_hash")
+    __slots__ = ("_coeffs", "_den", "_dense", "_hash")
 
     def __init__(self, coeffs: Mapping[int, RationalLike] | None = None):
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if not isinstance(c, Fraction):
-                    c = Fraction(c)
-                if c:
-                    clean[int(k)] = c
-        self._coeffs = clean
-        self._horner: _Horner | None = None
+        terms = {
+            int(k): c if isinstance(c, (int, Fraction)) else Fraction(c)
+            for k, c in (coeffs or {}).items()
+            if c
+        }
+        # Each Fraction is in lowest terms, so over the lcm of their
+        # denominators the numerators have no common factor with it.
+        den = lcm(*(c.denominator for c in terms.values()))
+        self._coeffs = {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+        self._den = den
+        self._dense: tuple[int, list[int]] | None = None
         self._hash: int | None = None
 
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, k: int) -> Fraction:
-        return self._coeffs.get(k, Fraction(0))
+        return Fraction(self._coeffs.get(k, 0), self._den)
 
     def items(self) -> list[tuple[int, Fraction]]:
         """Terms in ascending exponent order."""
-        return sorted(self._coeffs.items())
+        return [(k, Fraction(c, self._den)) for k, c in sorted(self._coeffs.items())]
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -63,41 +69,43 @@ class LaurentPoly:
         return min(self._coeffs) if self._coeffs else None
 
     def max_abs_coefficient(self) -> Fraction:
-        if not self._coeffs:
-            return Fraction(0)
-        return max(abs(c) for c in self._coeffs.values())
+        return Fraction(max(map(abs, self._coeffs.values()), default=0), self._den)
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def _combine(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign * other over the lcm of the two denominators."""
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = dict(self._coeffs)
+        den = lcm(self._den, other._den)
+        mine, theirs = den // self._den, sign * (den // other._den)
+        out = {k: c * mine for k, c in self._coeffs.items()}
         for k, c in other._coeffs.items():
-            out[k] = out[k] + c if k in out else c
-        return LaurentPoly(out)
+            out[k] = out.get(k, 0) + c * theirs
+        return _reduced({k: c for k, c in out.items() if c}, den)
+
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            out[k] = out[k] - c if k in out else -c
-        return LaurentPoly(out)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -c for k, c in self._coeffs.items()})
+        return _raw({k: -c for k, c in self._coeffs.items()}, self._den)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            out: dict[int, Fraction] = {}
+            out: dict[int, int] = {}
             for k1, c1 in self._coeffs.items():
                 for k2, c2 in other._coeffs.items():
                     k = k1 + k2
-                    out[k] = out[k] + c1 * c2 if k in out else c1 * c2
-            return LaurentPoly(out)
+                    out[k] = out.get(k, 0) + c1 * c2
+            return _reduced({k: c for k, c in out.items() if c}, self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            return LaurentPoly({k: c * other for k, c in self._coeffs.items()})
+            if not other:
+                return LaurentPoly()
+            num, den = other.numerator, other.denominator
+            return _reduced({k: c * num for k, c in self._coeffs.items()}, self._den * den)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -106,20 +114,20 @@ class LaurentPoly:
         """Multiply by x**k (k may be negative)."""
         if k == 0:
             return self
-        return LaurentPoly({e + k: c for e, c in self._coeffs.items()})
+        return _raw({e + k: c for e, c in self._coeffs.items()}, self._den)
 
     def derivative(self) -> "LaurentPoly":
         """Exact formal derivative, term by term."""
-        return LaurentPoly({k - 1: k * c for k, c in self._coeffs.items() if k != 0})
+        return _reduced({k - 1: k * c for k, c in self._coeffs.items() if k}, self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._coeffs.items()))
+            self._hash = hash((self._den, frozenset(self._coeffs.items())))
         return self._hash
 
     def __bool__(self) -> bool:
@@ -137,29 +145,52 @@ class LaurentPoly:
         if x == 0:
             if lo < 0:
                 raise ZeroDivisionError("Laurent polynomial with negative powers at x = 0")
-            return self._coeffs.get(0, Fraction(0))
+            return self.coefficient(0)
         acc = Fraction(0)
         for k in range(hi, lo - 1, -1):
-            acc = acc * x + self._coeffs.get(k, Fraction(0))
-        return acc * x**lo
+            acc = acc * x + self._coeffs.get(k, 0)
+        return acc * x**lo / self._den
 
     def _ratio_at(self, x: float) -> tuple[int, int]:
         """Exact value at x as (numerator, positive denominator).
 
-        Floats are dyadic rationals, so the integer Horner evaluator built
-        once per polynomial gives the exact value; x = 0 (and any input that
-        is not dyadic) goes through ``eval_exact``, the rational reference.
-        NaN raises ValueError and infinities OverflowError, as ``Fraction``
-        does.
+        A float is a dyadic rational m / 2**e, so over the dense integer
+        numerators a_j of x**(lo + j), kept once per polynomial, the value is
+
+            sum_j a_j m**j 2**(e (N - j)) * m**lo / (_den * 2**(e hi))
+
+        with N = hi - lo: pure integer arithmetic, no rounding and no
+        rational gcd on the way.  x = 0 (and any input that is not dyadic)
+        goes through ``eval_exact``, the rational reference.  NaN raises
+        ValueError and infinities OverflowError, as ``Fraction`` does.
         """
-        num, den = (x if isinstance(x, float) else Fraction(x)).as_integer_ratio()
-        if num == 0 or den & (den - 1):
-            return self.eval_exact(Fraction(num, den)).as_integer_ratio()
+        m, d = (x if isinstance(x, float) else Fraction(x)).as_integer_ratio()
+        if m == 0 or d & (d - 1):
+            return self.eval_exact(Fraction(m, d)).as_integer_ratio()
         if not self._coeffs:
             return 0, 1
-        if self._horner is None:
-            self._horner = _Horner(self._coeffs)
-        return self._horner.ratio_at(num, den.bit_length() - 1)
+        if self._dense is None:
+            lo, hi = min(self._coeffs), max(self._coeffs)
+            # Descending powers, the order Horner consumes them in.
+            self._dense = lo, [self._coeffs.get(k, 0) for k in range(hi, lo - 1, -1)]
+        lo, ints = self._dense
+        e = d.bit_length() - 1
+        acc = 0
+        shift = 0
+        for a in ints:
+            acc = acc * m + (a << shift)
+            shift += e
+        num, den = acc, self._den
+        if lo > 0:
+            num *= m**lo
+        elif lo < 0:
+            den *= m**-lo
+        scale = e * (lo + len(ints) - 1)
+        if scale >= 0:
+            den <<= scale
+        else:
+            num <<= -scale
+        return (-num, -den) if den < 0 else (num, den)
 
     def exact_at(self, x: float) -> Fraction:
         """Exact rational value at a float point."""
@@ -188,48 +219,21 @@ class LaurentPoly:
         return f"LaurentPoly({self.render()})"
 
 
-class _Horner:
-    """Integer Horner evaluation of one nonzero Laurent polynomial.
+def _raw(nums: dict[int, int], den: int) -> LaurentPoly:
+    """A polynomial from numerators already in lowest terms over den > 0."""
+    p = object.__new__(LaurentPoly)
+    p._coeffs, p._den, p._dense, p._hash = nums, den, None, None
+    return p
 
-    The coefficients are cleared to a common integer denominator once, so
-    at x = m / 2**e the exact value is
 
-        sum_j a_j m**j 2**(e (N - j)) * m**lo / (denom * 2**(e hi))
-
-    with a_j the integer coefficient of x**(lo + j) and N = hi - lo: pure
-    integer arithmetic, no rounding and no rational gcd on the way.
-    """
-
-    __slots__ = ("lo", "hi", "denom", "ints")
-
-    def __init__(self, coeffs: dict[int, Fraction]):
-        self.lo, self.hi = min(coeffs), max(coeffs)
-        self.denom = lcm(*(c.denominator for c in coeffs.values()))
-        zero = Fraction(0)
-        # Descending powers, the order Horner consumes them in.
-        self.ints = [
-            (coeffs.get(k, zero) * self.denom).numerator
-            for k in range(self.hi, self.lo - 1, -1)
-        ]
-
-    def ratio_at(self, m: int, e: int) -> tuple[int, int]:
-        """Exact value at m / 2**e (m != 0) as (numerator, denominator > 0)."""
-        acc = 0
-        shift = 0
-        for a in self.ints:
-            acc = acc * m + (a << shift)
-            shift += e
-        num, den = acc, self.denom
-        if self.lo > 0:
-            num *= m**self.lo
-        elif self.lo < 0:
-            den *= m**-self.lo
-        scale = e * self.hi
-        if scale >= 0:
-            den <<= scale
-        else:
-            num <<= -scale
-        return (-num, -den) if den < 0 else (num, den)
+def _reduced(nums: dict[int, int], den: int) -> LaurentPoly:
+    """A polynomial from nonzero numerators over den > 0, in lowest terms."""
+    if den == 1:
+        return _raw(nums, 1)
+    g = gcd(den, *nums.values()) if nums else den
+    if g != 1:
+        nums, den = {k: c // g for k, c in nums.items()}, den // g
+    return _raw(nums, den)
 
 
 def _validate_index(n: int, alpha: int) -> None:
@@ -251,9 +255,15 @@ def laguerre(n: int, alpha: int) -> LaurentPoly:
     n + alpha >= 0), whose lowest-order term sits at degree -alpha.
     """
     _validate_index(n, alpha)
-    return LaurentPoly(
-        {k: Fraction((-1) ** k * comb(n + alpha, n - k), factorial(k)) for k in range(n + 1)}
-    )
+    # Over n!, the coefficient of x**k is (-1)**k C(n+alpha, n-k) n!/k!.
+    # That of x**n is (-1)**n, so the form is in lowest terms as built.
+    nums: dict[int, int] = {}
+    tail = 1  # n!/k!
+    for k in range(n, -1, -1):
+        if c := comb(n + alpha, n - k):
+            nums[k] = -c * tail if k % 2 else c * tail
+        tail *= k or 1
+    return _raw(nums, tail)
 
 
 def de_residual(n: int, alpha: int) -> LaurentPoly:

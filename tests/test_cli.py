@@ -346,6 +346,13 @@ def test_modes_apply_raising(tmp_path, capsys):
         ("2,1,1,0\n1,0,1,0\n2,1,0.5,0\n", "duplicate mode label (j=2, m=1)"),
         # 2**53 + 1 reads as the float 2**53.
         ("9007199254740993,0,1,0\n", "(j=9007199254740992, m=0) is not below 2**53"),
+        # Non-integers that read as integer floats: the labels are checked as text.
+        ("1,0,1,0\n2.0000000000000001,0,1,0\n",
+         "line 3: mode labels must be integers (got j=2.0000000000000001, m=0)"),
+        ("2251799813685248.1,0,1,0\n", "(got j=2251799813685248.1, m=0)"),
+        ("0,-1e-999999999,1,0\n", "(got j=0, m=-1e-999999999)"),
+        # An exponent beyond Decimal's range is rejected, never expanded.
+        ("0,1e-99999999999999999999999,1,0\n", "(got j=0, m=1e-99999999999999999999999)"),
     ],
 )
 def test_modes_ambiguous_labels_exit_2(tmp_path, capsys, rows, named):
@@ -355,6 +362,15 @@ def test_modes_ambiguous_labels_exit_2(tmp_path, capsys, rows, named):
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
     assert named in err
+
+
+@pytest.mark.parametrize("label", ["2", "2.0", "2e0", " 2 ", "+2"])
+def test_modes_integer_labels_in_any_spelling(tmp_path, capsys, label):
+    path = tmp_path / "modes.csv"
+    path.write_text(f"j,m,re,im\n{label},-0,1,0\n")
+    code, out, err = run(capsys, "modes", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "2,0,1,0,1"
 
 
 def test_modes_bad_header(tmp_path, capsys):

@@ -2,9 +2,10 @@ import functools
 import math
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from laguerre_ladder.exactpoly import (
@@ -18,7 +19,8 @@ from laguerre_ladder.exactpoly import (
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
 )
-polys = st.dictionaries(st.integers(-4, 8), rationals, max_size=6).map(LaurentPoly)
+terms = st.dictionaries(st.integers(-4, 8), rationals, max_size=6)
+polys = terms.map(LaurentPoly)
 
 
 # -- Laurent ring ------------------------------------------------------------
@@ -42,6 +44,82 @@ def test_derivative_product_rule(a, b):
 @given(polys)
 def test_no_stored_zeros(p):
     assert all(c != 0 for _, c in p.items())
+
+
+# -- the integer form against an independent reference ------------------------
+#
+# The reference is a plain {exponent: Fraction} map, added, multiplied and
+# differentiated term by term; LaurentPoly must agree with it through items()
+# and keep its (integer numerators, one denominator) form canonical.
+
+
+def _ref(d: dict) -> list[tuple[int, Fraction]]:
+    return sorted((k, Fraction(c)) for k, c in d.items() if c)
+
+
+def _ref_sum(a: dict, b: dict, sign: int) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + sign * c
+    return out
+
+
+def _ref_product(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return out
+
+
+def _assert_canonical(p: LaurentPoly) -> None:
+    assert type(p._den) is int and p._den > 0
+    assert all(type(c) is int and c for c in p._coeffs.values())
+    assert gcd(p._den, *p._coeffs.values()) == 1
+
+
+@given(terms, terms, rationals, st.integers(-5, 5))
+def test_ring_operations_match_the_fraction_reference(a, b, q, k):
+    p, r = LaurentPoly(a), LaurentPoly(b)
+    cases = [
+        (p, a),
+        (p + r, _ref_sum(a, b, 1)),
+        (p - r, _ref_sum(a, b, -1)),
+        (-p, {e: -c for e, c in a.items()}),
+        (p * r, _ref_product(a, b)),
+        (p * q, {e: c * q for e, c in a.items()}),
+        (q * p, {e: c * q for e, c in a.items()}),
+        (p * q.numerator, {e: c * q.numerator for e, c in a.items()}),
+        (p.shift(k), {e + k: c for e, c in a.items()}),
+        (p.derivative(), {e - 1: e * c for e, c in a.items()}),
+    ]
+    for got, want in cases:
+        assert got.items() == _ref(want)
+        _assert_canonical(got)
+
+
+@given(polys, polys, rationals.filter(bool))
+def test_two_routes_give_one_form(p, r, q):
+    routes = [
+        (p * Fraction(1, 3)) * 3,
+        (p * q) * (1 / q),
+        (p + r) - r,
+        -(-p),
+        p.shift(3).shift(-3),
+        LaurentPoly(dict(p.items())),
+        LaurentPoly({k: c * 6 for k, c in p.items()}) * Fraction(1, 6),
+    ]
+    for other in routes:
+        assert other == p
+        assert hash(other) == hash(p)
+        assert (other._den, other._coeffs) == (p._den, p._coeffs)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 40), st.integers(-40, 20))
+def test_laguerre_is_canonical(n, alpha):
+    assume(n + alpha >= 0)
+    _assert_canonical(laguerre(n, alpha))
 
 
 def test_derivative_examples():
