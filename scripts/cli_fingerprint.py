@@ -4,7 +4,8 @@
 Each call runs in process through ``laguerre_ladder.cli.main``; the output
 is one line per call: exit code, sha256 of its stdout, sha256 of its stderr,
 and the call.  The calls cover exit codes 0, 1 (injected defects) and 2
-(invalid input), the JSON report and the CSV formats, the largest
+(invalid input, including a plane suite whose --order is too small for its
+round trip), the JSON report and the CSV formats, the largest
 quadrature rule (order 200), evaluation at x = 0 and a table of a
 negative-parameter carrier, and the benchmark's
 plane round trip: a jmax-8 mode file to a 96 x 64 field, with and without
@@ -79,6 +80,8 @@ def main() -> None:
             ["verify", "--suite", "all", "--defect", "jplus-sign"],
             ["verify", "--suite", "algebra", "--nmax", "4", "--defect", "jplus-sign"],
             ["verify", "--suite", "exact", "--nmax", "0", "--alpha-max", "0"],
+            # The round trip's seed modes reach j = 8, past --jmax 6: exit 2.
+            ["verify", "--suite", "plane", "--jmax", "6", "--order", "8"],
             ["gram", "--alpha", "2"],
             ["gram", "--alpha", "-3", "--nmax", "20", "--order", "128"],
             ["gram", "--alpha", "0", "--nmax", "40", "--order", "200"],  # largest rule

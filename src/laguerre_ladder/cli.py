@@ -197,7 +197,8 @@ def cmd_verify(args) -> int:
         for suite, checks in report["suites"].items():
             for name, check in checks.items():
                 if not check["pass"]:
-                    print(f"FAILED {suite}/{name}", file=sys.stderr)
+                    at = " at " + json.dumps(check["witness"]) if "witness" in check else ""
+                    print(f"FAILED {suite}/{name}{at}", file=sys.stderr)
         return 1
     return 0
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from types import MappingProxyType
-from typing import Literal, Mapping, Sequence
+from typing import Iterator, Literal, Mapping, Sequence
 
 from .basis import BasisIndex, Carrier, carrier_M, derived_core, evaluate, evaluate_derivative
 from .exactpoly import LaurentPoly
@@ -483,21 +483,28 @@ class StructureConstants:
         """``nonzero[a][b]`` lists (c, table[a][b][c]) for the nonzero entries."""
         return [[[(c, v) for c, v in enumerate(row) if v] for row in rows] for rows in self.table]
 
-    def antisymmetry_residual(self) -> Fraction:
-        t, r = self.table, range(len(self.generators))
-        return max(abs(t[a][b][c] + t[b][a][c]) for a, b, c in product(r, repeat=3))
+    def antisymmetry_gaps(self) -> Iterator[tuple[tuple[OperatorName, ...], Fraction]]:
+        """Each pair (X_a, X_b) with the largest coefficient of [X_a,X_b] + [X_b,X_a]."""
+        t, g = self.table, self.generators
+        for a, b in product(range(len(g)), repeat=2):
+            yield (g[a], g[b]), max(abs(t[a][b][c] + t[b][a][c]) for c in range(len(g)))
 
-    def jacobi_residual(self) -> Fraction:
-        """Largest coefficient of [X_a,[X_b,X_c]] + cyclic."""
-        nz, worst = self.nonzero, Fraction(0)
-        for a, b, c in product(range(len(self.generators)), repeat=3):
+    def antisymmetry_residual(self) -> Fraction:
+        return max(gap for _, gap in self.antisymmetry_gaps())
+
+    def jacobi_gaps(self) -> Iterator[tuple[tuple[OperatorName, ...], Fraction]]:
+        """Each triple (X_a, X_b, X_c) with the largest coefficient of [X_a,[X_b,X_c]] + cyclic."""
+        nz, gens = self.nonzero, self.generators
+        for a, b, c in product(range(len(gens)), repeat=3):
             acc: dict[int, Fraction] = {}
             for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
                 for d, v in nz[y][z]:
                     for e, w in nz[x][d]:
                         acc[e] = acc.get(e, 0) + v * w
-            worst = max([worst, *map(abs, acc.values())])
-        return worst
+            yield (gens[a], gens[b], gens[c]), max(map(abs, acc.values()), default=Fraction(0))
+
+    def jacobi_residual(self) -> Fraction:
+        return max(gap for _, gap in self.jacobi_gaps())
 
     @cached_property
     def casimir_metric(self) -> list[list[Fraction]]:

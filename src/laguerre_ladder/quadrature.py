@@ -113,8 +113,16 @@ def node_values(c: Carrier, rule: QuadratureRule) -> np.ndarray:
     return values
 
 
-def _required_order(degree: int) -> int:
-    return degree // 2 + 1
+def _require_order(rule: QuadratureRule, degree: int, what: str) -> None:
+    """Refuse a rule that does not integrate exp(-x) * x**degree exactly."""
+    need = degree // 2 + 1
+    if rule.order < need:
+        raise ValueError(f"rule order {rule.order} insufficient for {what}; need at least {need}")
+
+
+def _top_degree(carriers: list[Carrier]) -> int:
+    """Largest degree of x**half_power * core**2, a carrier's square without exp(-x)."""
+    return max(c.half_power + 2 * (c.core.degree() or 0) for c in carriers)
 
 
 def _integral(poly: LaurentPoly, rule: QuadratureRule) -> float:
@@ -123,12 +131,7 @@ def _integral(poly: LaurentPoly, rule: QuadratureRule) -> float:
         return 0.0
     if poly.low_degree() < 0:
         raise ValueError("integrand is not polynomial (negative powers remain)")
-    need = _required_order(poly.degree())
-    if rule.order < need:
-        raise ValueError(
-            f"rule order {rule.order} insufficient for degree {poly.degree()}; "
-            f"need at least {need}"
-        )
+    _require_order(rule, poly.degree(), f"degree {poly.degree()}")
     return rule.integrate(poly.eval_float)
 
 
@@ -169,14 +172,7 @@ def gram_matrix(alpha: int, nmax: int, rule: QuadratureRule) -> np.ndarray:
     if nmax < n0:
         raise ValueError(f"nmax={nmax} below first valid index {n0} for alpha={alpha}")
     carriers = [carrier_M(k, k + alpha) for k in range(n0, nmax + 1)]
-    top_degree = max(
-        2 * c.core.degree() + c.half_power for c in carriers
-    )
-    need = _required_order(top_degree)
-    if rule.order < need:
-        raise ValueError(
-            f"rule order {rule.order} insufficient for the family; need at least {need}"
-        )
+    _require_order(rule, _top_degree(carriers), "the family")
     values = np.vstack([node_values(c, rule) for c in carriers])
     w = np.array(rule.weights)
     return (values * w) @ values.T
@@ -199,13 +195,7 @@ def projection_convergence(
         )
     n0 = max(0, -family_alpha)
     members = [carrier_M(k, k + family_alpha) for k in range(n0, max_n + 1)]
-    twice_deg = lambda c: c.half_power + 2 * (c.core.degree() or 0)
-    need = _required_order(max(twice_deg(target), max(map(twice_deg, members))))
-    if rule.order < need:
-        raise ValueError(
-            f"rule order {rule.order} insufficient for the projection; "
-            f"need at least {need}"
-        )
+    _require_order(rule, _top_degree([target, *members]), "the projection")
     w = np.array(rule.weights)
     residual = node_values(target, rule)
     member_values = [node_values(c, rule) for c in members]

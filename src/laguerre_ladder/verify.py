@@ -1,20 +1,21 @@
 """Machine-checkable identity suites with a structured report.
 
 Every suite returns an ordered mapping from identity name to a check
-record: computation mode ("exact" checks must come out identically zero,
-"float" checks carry a tolerance), the worst residual observed, and a
-pass flag; some also count their cases (a check of nothing fails) and
-name a witness where they first failed.  The command-line front end
-renders the combined report as JSON and turns any failure into a nonzero
-exit code.
+record that `_check` folds from the check's cases: its mode ("exact"
+checks must come out identically zero, "float" checks carry a tolerance),
+the worst residual, a pass flag, the number of cases (a check of nothing
+fails) and, on a failing check only, a witness naming the first failing
+case.  The command-line front end renders the combined report as JSON and
+turns any failure into a nonzero exit code.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations, product
 from math import factorial
-from typing import Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -26,46 +27,50 @@ from .radicals import SqrtSum
 SUITE_NAMES = ("exact", "algebra", "quadrature", "plane", "so32")
 
 
-def _exact_check(residual, cases: int | None = None, witness: dict | None = None) -> dict:
-    """A check that passes only at a residual of exactly zero (float or Fraction).
+def _record(worst, cases: int, witness: dict | None, tolerance: float | None = None) -> dict:
+    """The report record of a check; without a tolerance it is exact."""
+    record = {
+        "mode": "exact" if tolerance is None else "float",
+        "max_residual": float(worst),
+        "tolerance": 0.0 if tolerance is None else tolerance,
+        "pass": cases > 0 and witness is None,
+        "cases": cases,
+    }
+    return record if witness is None else {**record, "witness": witness}
 
-    With ``cases`` (the number of states, pairs or points checked) it also
-    fails when nothing was checked; ``witness`` names where it failed first.
+
+def _check(cases: Iterable[tuple[Any, Callable]], tolerance: float | None = None) -> dict:
+    """Fold (residual, where) cases into one check record.
+
+    An exact check (no tolerance) fails at its first nonzero residual, a float
+    check at its first residual not within the tolerance, and a check of no
+    cases fails.  ``where()`` names its case; only the first failing case
+    calls it, before the next case is drawn (so it may read the loop
+    variables of the generator that made it), and the result is the witness.
     """
-    check = {
-        "mode": "exact",
-        "max_residual": float(residual),
-        "tolerance": 0.0,
-        "pass": residual == 0 and cases != 0,
-    }
-    if cases is not None:
-        check["cases"] = cases
-    if witness is not None:
-        check["witness"] = witness
-    return check
+    limit = 0 if tolerance is None else tolerance
+    worst, count, witness = 0, 0, None
+    for residual, where in cases:
+        count += 1
+        worst = max(worst, residual)
+        if witness is None and not residual <= limit:
+            witness = where()
+    return _record(worst, count, witness, tolerance)
 
 
-def _float_check(residual: float, tolerance: float) -> dict:
-    residual = float(residual)
-    return {
-        "mode": "float",
-        "max_residual": residual,
-        "tolerance": tolerance,
-        "pass": bool(residual <= tolerance),
-    }
+def _pair(op_a: Op, op_b: Op) -> str:
+    return f"[{op_a.value},{op_b.value}]"
 
 
-def _poly_residual(p: exactpoly.LaurentPoly) -> float:
-    return float(p.max_abs_coefficient())
-
-
-def _vec_residual(state: BasisIndex, actual: Mapping, expected: Mapping) -> float:
-    """Largest normalised coefficient of actual - expected, images of one state."""
-    diff = dict(actual)
-    for k, v in expected.items():
-        diff[k] = diff.get(k, 0) - v
+def _vec_residual(state: BasisIndex, diff: Mapping) -> float:
+    """Largest normalised coefficient of diff, a combination of images of one state."""
     normalised = opalgebra.normalised(state, {k: v for k, v in diff.items() if v})
     return max((abs(float(v)) for v in normalised.values()), default=0.0)
+
+
+def _off_identity(matrix: np.ndarray) -> list[float]:
+    """Each row's largest deviation from the identity matrix."""
+    return np.abs(matrix - np.eye(len(matrix))).max(axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -73,64 +78,53 @@ def _vec_residual(state: BasisIndex, actual: Mapping, expected: Mapping) -> floa
 # ---------------------------------------------------------------------------
 
 
+def _negative_parameter_residual(n: int, a: int) -> Fraction:
+    """L_n^(-a) against (-1)**a (n-a)!/n! x**a L_{n-a}^(a)."""
+    rhs = (-1) ** a * Fraction(factorial(n - a), factorial(n)) * exactpoly.laguerre(n - a, a)
+    return (exactpoly.laguerre(n, -a) - rhs.shift(a)).max_abs_coefficient()
+
+
+def _swap_residual(n: int, p: int) -> float:
+    """0 if carrier_M(n, p) is (-1)**(p-n) carrier_M(p, n), else 1."""
+    a, b = carrier_M(n, p), carrier_M(p, n)
+    sign = -1 if (p - n) % 2 else 1
+    fields = (a.sign, a.norm_squared, a.half_power, a.core)
+    return 0.0 if fields == (sign * b.sign, b.norm_squared, b.half_power, b.core) else 1.0
+
+
 def suite_exact(nmax: int = 12, alpha_max: int = 10) -> dict:
-    checks: dict[str, dict] = {}
-
-    worst = 0.0
-    for n in range(nmax + 1):
-        for a in range(-n, alpha_max + 1):
-            worst = max(worst, _poly_residual(exactpoly.de_residual(n, a)))
-    checks["defining-de-residual"] = _exact_check(worst)
-
-    worst_up = worst_down = 0.0
-    cases = 0
-    for n in range(nmax + 1):
-        for a in range(1 - n, alpha_max + 1):
-            up, down = exactpoly.alpha_ladder_check(n, a)
-            worst_up = max(worst_up, _poly_residual(up))
-            worst_down = max(worst_down, _poly_residual(down))
-            cases += 1
-    checks["ladder-raise-residual"] = _exact_check(worst_up, cases)
-    checks["ladder-lower-residual"] = _exact_check(worst_down, cases)
-
-    worst, cases = 0.0, 0
-    for n in range(1, nmax + 1):
-        for a in range(1 - n, alpha_max + 1):
-            worst = max(worst, _poly_residual(exactpoly.three_term_residual(n, a)))
-            cases += 1
-    checks["three-term-recurrence"] = _exact_check(worst, cases)
-
-    worst = 0.0
-    for n in range(min(nmax, 20) + 1):
-        for a in range(n + 1):
-            sign = -1 if a % 2 else 1
-            lhs = exactpoly.laguerre(n, -a)
-            rhs = (sign * Fraction(factorial(n - a), factorial(n))) * exactpoly.laguerre(
-                n - a, a
-            ).shift(a)
-            worst = max(worst, _poly_residual(lhs - rhs))
-    checks["negative-parameter-identity"] = _exact_check(worst)
-
-    worst = 0.0
-    for n in range(nmax + 1):
-        for p in range(nmax + 1):
-            worst = max(worst, _poly_residual(opalgebra.e_residual_symbolic(n, p)))
-    checks["equation-operator-annihilation"] = _exact_check(worst)
-
-    worst = 0.0
-    for n in range(nmax + 1):
-        for p in range(nmax + 1):
-            a, b = carrier_M(n, p), carrier_M(p, n)
-            same = (
-                a.norm_squared == b.norm_squared
-                and a.half_power == b.half_power
-                and a.core == b.core
-                and a.sign == (-1 if (p - n) % 2 else 1) * b.sign
-            )
-            if not same:
-                worst = 1.0
-    checks["carrier-swap-symmetry"] = _exact_check(worst)
-    return checks
+    ns = range(nmax + 1)
+    labels = list(product(ns, repeat=2))
+    ladder = [(n, a, *exactpoly.alpha_ladder_check(n, a))
+              for n in ns for a in range(1 - n, alpha_max + 1)]
+    return {
+        "defining-de-residual": _check(
+            (exactpoly.de_residual(n, a).max_abs_coefficient(), lambda: {"n": n, "alpha": a})
+            for n in ns for a in range(-n, alpha_max + 1)
+        ),
+        "ladder-raise-residual": _check(
+            (up.max_abs_coefficient(), lambda: {"n": n, "alpha": a}) for n, a, up, _ in ladder
+        ),
+        "ladder-lower-residual": _check(
+            (down.max_abs_coefficient(), lambda: {"n": n, "alpha": a}) for n, a, _, down in ladder
+        ),
+        "three-term-recurrence": _check(
+            (exactpoly.three_term_residual(n, a).max_abs_coefficient(),
+             lambda: {"n": n, "alpha": a})
+            for n in ns[1:] for a in range(1 - n, alpha_max + 1)
+        ),
+        "negative-parameter-identity": _check(
+            (_negative_parameter_residual(n, a), lambda: {"n": n, "alpha": -a})
+            for n in range(min(nmax, 20) + 1) for a in range(n + 1)
+        ),
+        "equation-operator-annihilation": _check(
+            (opalgebra.e_residual_symbolic(n, p).max_abs_coefficient(), lambda: {"state": [n, p]})
+            for n, p in labels
+        ),
+        "carrier-swap-symmetry": _check(
+            (_swap_residual(n, p), lambda: {"state": [n, p]}) for n, p in labels
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -186,38 +180,42 @@ def _signed_swap(vec: Mapping) -> dict:
     return {BasisIndex(p, n): -c if (p - n) % 2 else c for (n, p), c in vec.items()}
 
 
-def suite_algebra(nmax: int = 12) -> dict:
-    checks: dict[str, dict] = {}
-    states = [BasisIndex(n, p) for n in range(nmax + 1) for p in range(nmax + 1)]
+def _relation_cases(relations, states: list[BasisIndex]):
+    """Each relation [A, B] = sum of factor * G on each state."""
+    for s in states:
+        vec = opalgebra.exact_state(*s)
+        for op_a, op_b, rhs in relations:
+            diff = opalgebra.commutator_exact(op_a, op_b, vec)
+            for op_g, factor in rhs.items():
+                image = vec if op_g is None else opalgebra.apply_exact(op_g, vec)
+                for k, v in image.items():
+                    diff[k] = diff.get(k, 0) - v * factor
+            yield _vec_residual(s, diff), lambda: {"state": list(s), "pair": _pair(op_a, op_b)}
 
-    for name, relations in _LADDER_RELATIONS.items():
-        worst = 0.0
-        for s in states:
-            vec = opalgebra.exact_state(*s)
-            for op_a, op_b, rhs in relations:
-                actual = opalgebra.commutator_exact(op_a, op_b, vec)
-                expected: dict = {}
-                for op_g, factor in rhs.items():
-                    image = vec if op_g is None else opalgebra.apply_exact(op_g, vec)
-                    for k, v in image.items():
-                        expected[k] = expected.get(k, 0) + v * factor
-                worst = max(worst, _vec_residual(s, actual, expected))
-        checks[name] = _exact_check(worst)
 
-    # a+- = -T b+- T, T the signed swap: exact, as T keeps the weight n! p!.
-    worst = 0.0
+def _interchange_cases(states: list[BasisIndex]):
+    """a+- = -T b+- T, T the signed swap: exact, as T keeps the weight n! p!."""
     for s in states:
         vec = opalgebra.exact_state(*s)
         for op_a, op_b in ((Op.Aplus, Op.Bplus), (Op.Aminus, Op.Bminus)):
-            swapped = _signed_swap(opalgebra.apply_exact(op_b, _signed_swap(vec)))
-            expected = {k: -v for k, v in swapped.items()}
-            worst = max(worst, _vec_residual(s, opalgebra.apply_exact(op_a, vec), expected))
-    checks["interchange-symmetry"] = _exact_check(worst)
+            diff = opalgebra.apply_exact(op_a, vec)
+            for k, v in _signed_swap(opalgebra.apply_exact(op_b, _signed_swap(vec))).items():
+                diff[k] = diff.get(k, 0) + v
+            yield _vec_residual(s, diff), lambda: {"state": list(s), "op": op_a.value}
 
-    for name, which, expected in _CASIMIR_CHECKS:
-        worst = max(abs(opalgebra.casimir_eigenvalue(which, s) - expected(s)) for s in states)
-        checks[name] = _exact_check(worst)
 
+def suite_algebra(nmax: int = 12) -> dict:
+    states = [BasisIndex(n, p) for n in range(nmax + 1) for p in range(nmax + 1)]
+    checks = {
+        name: _check(_relation_cases(relations, states))
+        for name, relations in _LADDER_RELATIONS.items()
+    }
+    checks["interchange-symmetry"] = _check(_interchange_cases(states))
+    for name, which, value in _CASIMIR_CHECKS:
+        checks[name] = _check(
+            (abs(opalgebra.casimir_eigenvalue(which, s) - value(s)), lambda: {"state": list(s)})
+            for s in states
+        )
     checks["label-diff-consistency"] = label_diff_consistency(min(nmax, 10))
     return checks
 
@@ -232,15 +230,13 @@ def label_diff_consistency(nmax: int = 10) -> dict:
     their half powers differ by even shifts, so the two sides are Laurent
     polynomials compared exactly.  A mismatch's residual is the largest
     coefficient of their difference over the larger side's largest
-    coefficient (2 for a flipped sign); the witness is the first mismatched
-    (form, state).
+    coefficient (2 for a flipped sign); a case is one (form, state).
     """
     def gauge(c: Carrier) -> int:
         return c.sign * factorial(min(c.label))
 
-    worst, witness, cases = Fraction(0), None, 0
-    for n in range(nmax + 1):
-        for p in range(nmax + 1):
+    def cases():
+        for n, p in product(range(nmax + 1), repeat=2):
             state = opalgebra.exact_state(n, p)
             for op in opalgebra.FIRST_ORDER:
                 image = opalgebra.diff_image(op, n, p)
@@ -249,12 +245,13 @@ def label_diff_consistency(nmax: int = 10) -> dict:
                     c = carrier_M(*t)
                     shift = (c.half_power - image.half_power) // 2
                     rhs = rhs + (coeff * gauge(c)) * c.core.shift(shift)
+                residual = 0
                 if lhs != rhs:
                     scale = max(lhs.max_abs_coefficient(), rhs.max_abs_coefficient())
-                    worst = max(worst, (lhs - rhs).max_abs_coefficient() / scale)
-                    witness = witness or {"op": op.value, "state": [n, p]}
-                cases += 1
-    return _exact_check(worst, cases, witness)
+                    residual = (lhs - rhs).max_abs_coefficient() / scale
+                yield residual, lambda: {"op": op.value, "state": [n, p]}
+
+    return _check(cases())
 
 
 # ---------------------------------------------------------------------------
@@ -262,47 +259,48 @@ def label_diff_consistency(nmax: int = 10) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def suite_quadrature(nmax: int = 12, order: int = 64) -> dict:
-    checks: dict[str, dict] = {}
-    rule = quadrature.gauss_laguerre(order)
-
-    worst = 0.0
+def _rule_exactness_cases(order: int):
+    """Relative error of each rule on x**k, k below twice its order."""
     for o in sorted({1, 2, 8, min(order, 32), order}):
         r = quadrature.gauss_laguerre(o)
         top = max(r.nodes)
         for k in range(2 * o):
             if k * math.log(max(top, 2.0)) > 700.0:
                 break  # power would overflow the float range
-            approx = r.integrate(lambda x, k=k: x**k)
-            rel = abs(Fraction(approx) / factorial(k) - 1)
-            worst = max(worst, float(rel))
-    checks["rule-exactness"] = _float_check(worst, 1e-12)
+            rel = abs(Fraction(r.integrate(lambda x, k=k: x**k)) / factorial(k) - 1)
+            yield float(rel), lambda: {"order": o, "k": k}
 
-    checks["weight-sum"] = _float_check(abs(math.fsum(rule.weights) - 1.0), 1e-13)
 
-    worst = 0.0
-    for alpha in (0, 1, 2, 5):
-        gram = quadrature.gram_matrix(alpha, nmax, rule)
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(gram.shape[0])))))
-    checks["orthonormality"] = _float_check(worst, 1e-11)
+def _norm_cases(nmax: int, rule: quadrature.QuadratureRule):
+    """The norm of L_n^(alpha) under the rule against (n + alpha)!/n!."""
+    for alpha, n in product(range(4), range(min(nmax, 15) + 1)):
+        poly = exactpoly.laguerre(n, alpha)
+        value = quadrature.weighted_inner_product(poly, poly, alpha, rule)
+        reference = Fraction(factorial(n + alpha), factorial(n))
+        yield abs(value / float(reference) - 1.0), lambda: {"alpha": alpha, "n": n}
 
-    worst = 0.0
-    for alpha in range(4):
-        for n in range(min(nmax, 15) + 1):
-            poly = exactpoly.laguerre(n, alpha)
-            value = quadrature.weighted_inner_product(poly, poly, alpha, rule)
-            reference = Fraction(factorial(n + alpha), factorial(n))
-            worst = max(worst, abs(value / float(reference) - 1.0))
-    checks["norm-formula"] = _float_check(worst, 1e-11)
 
-    residuals = quadrature.projection_convergence(carrier_M(4, 6), 2, 8, rule)
-    tail = max(residuals[4:])
-    monotone = max(
-        (b - a for a, b in zip(residuals, residuals[1:])),
-        default=0.0,
+def suite_quadrature(nmax: int = 12, order: int = 64) -> dict:
+    rule = quadrature.gauss_laguerre(order)
+    checks = {
+        "rule-exactness": _check(_rule_exactness_cases(order), 1e-12),
+        "weight-sum": _check(
+            [(abs(math.fsum(rule.weights) - 1.0), lambda: {"order": order})], 1e-13
+        ),
+        "orthonormality": _check((
+            (gap, lambda: {"alpha": alpha, "n": n})
+            for alpha in (0, 1, 2, 5)
+            for n, gap in enumerate(_off_identity(quadrature.gram_matrix(alpha, nmax, rule)))
+        ), 1e-11),
+        "norm-formula": _check(_norm_cases(nmax, rule), 1e-11),
+    }
+
+    # Residual after projecting member 4 onto the first N members, N = 0..8.
+    residuals = list(enumerate(quadrature.projection_convergence(carrier_M(4, 6), 2, 8, rule)))
+    checks["projection-member"] = _check(((r, lambda: {"N": k}) for k, r in residuals[4:]), 1e-12)
+    checks["projection-monotone"] = _check(
+        ((b - a, lambda: {"N": k}) for (_, a), (k, b) in zip(residuals, residuals[1:])), 1e-14
     )
-    checks["projection-member"] = _float_check(tail, 1e-12)
-    checks["projection-monotone"] = _float_check(max(monotone, 0.0), 1e-14)
     return checks
 
 
@@ -311,64 +309,25 @@ def suite_quadrature(nmax: int = 12, order: int = 64) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _seed_coefficients(jmax: int) -> plane.ModeCoefficients:
-    coeffs = {
-        idx: complex(1.0 + idx.j - 0.3 * idx.m, 0.5 * idx.m - 0.1 * idx.j)
-        / (1.0 + idx.j**2 + idx.m**2)
-        for idx in plane.modes_up_to(jmax)
-    }
-    return plane.ModeCoefficients(coeffs=coeffs, jmax=jmax)
-
-
-def suite_plane(jmax: int = 6, radial_order: int = 64, angular: int = 64) -> dict:
-    checks: dict[str, dict] = {}
-    grid = plane.PolarGrid.build(radial_order, angular)
-
-    gram = plane.gram_2d(jmax, grid)
-    checks["gram-2d"] = _float_check(
-        float(np.max(np.abs(gram - np.eye(gram.shape[0])))), 1e-10
-    )
-
-    worst = 0.0
-    for idx in plane.modes_up_to(jmax):
-        for r in (0.3, 0.7, 1.5, 3.0):
-            worst = max(worst, plane.radial_de_relative(idx, r))
-    checks["radial-equation"] = _float_check(worst, 1e-9)
-
-    seed = _seed_coefficients(min(jmax + 2, 8))
-    grid_rt = grid if grid.angular_count > 2 * seed.jmax else plane.PolarGrid.build(
-        radial_order, max(angular, 32)
-    )
-    roundtrip = plane.decompose(plane.reconstruct(seed, grid_rt), seed.jmax)
-    checks["round-trip"] = _float_check(seed.max_abs_diff(roundtrip), 1e-10)
-
-    worst = 0.0
-    for idx in plane.modes_up_to(jmax):
-        single = plane.ModeCoefficients(coeffs={idx: 1.0}, jmax=jmax)
+def _mode_algebra_cases(singles: list[tuple[plane.ModeIndex, plane.ModeCoefficients]]):
+    """The J+ element, [J+, J-] = 2 J3 and [J3, J+-] = +-J+- on single modes."""
+    for idx, single in singles:
         plus = plane.apply_mode_operator(Op.Jplus, single)
         expected = float(SqrtSum.sqrt((idx.j - idx.m) * (idx.j + idx.m + 1)))
         got = plus.get(idx.j, idx.m + 1) if idx.m < idx.j else 0j
-        worst = max(worst, abs(got - expected))
+        yield abs(got - expected), lambda: {"mode": list(idx), "op": "J+"}
         comm = plane.mode_commutator(Op.Jplus, Op.Jminus, single)
-        worst = max(worst, abs(comm.get(idx.j, idx.m) - 2.0 * idx.m))
+        residual = abs(comm.get(idx.j, idx.m) - 2.0 * idx.m)
+        yield residual, lambda: {"mode": list(idx), "pair": "[J+,J-]"}
         for op, shift, sign in ((Op.Jplus, 1, 1), (Op.Jminus, -1, -1)):
             lhs = plane.mode_commutator(Op.J3, op, single)
             rhs = plane.apply_mode_operator(op, single)
-            diff = max(
-                abs(lhs.get(idx.j, idx.m + shift) - sign * rhs.get(idx.j, idx.m + shift)),
-                0.0,
-            )
-            worst = max(worst, diff)
-    checks["mode-operator-algebra"] = _exact_check(worst)
+            residual = abs(lhs.get(idx.j, idx.m + shift) - sign * rhs.get(idx.j, idx.m + shift))
+            yield residual, lambda: {"mode": list(idx), "pair": _pair(Op.J3, op)}
 
-    worst = 0.0
-    for idx in plane.modes_up_to(jmax):
-        single = plane.ModeCoefficients(coeffs={idx: 1.0}, jmax=jmax)
-        got = plane.mode_casimir(single).get(idx.j, idx.m)
-        worst = max(worst, abs(got - idx.j * (idx.j + 1)))
-    checks["mode-casimir"] = _exact_check(float(worst))
 
-    worst = 0.0
+def _pointwise_cases():
+    """J+ on mode amplitudes, sampled on a grid, against the differential form."""
     small = plane.PolarGrid.build(16, 16)
     for idx in plane.modes_up_to(3):
         single = plane.ModeCoefficients(coeffs={idx: 1.0}, jmax=4)
@@ -377,9 +336,49 @@ def suite_plane(jmax: int = 6, radial_order: int = 64, angular: int = 64) -> dic
         for k, x in enumerate(small.radial_x):
             radial = opalgebra.apply_diff(Op.Jplus, c, x)
             for q, phi in enumerate(small.angular_nodes):
-                direct = radial * np.exp(1j * (idx.m + 1) * phi)
-                worst = max(worst, abs(direct - raised.values[k, q]))
-    checks["pointwise-consistency"] = _float_check(worst, 1e-8)
+                residual = abs(radial * np.exp(1j * (idx.m + 1) * phi) - raised.values[k, q])
+                yield residual, lambda: {"mode": list(idx), "x": x, "phi": phi}
+
+
+def suite_plane(jmax: int = 6, radial_order: int = 64, angular: int = 64) -> dict:
+    grid = plane.PolarGrid.build(radial_order, angular)
+    modes = plane.modes_up_to(jmax)
+    singles = [(idx, plane.ModeCoefficients(coeffs={idx: 1.0}, jmax=jmax)) for idx in modes]
+    checks = {
+        "gram-2d": _check((
+            (gap, lambda: {"mode": list(idx)})
+            for idx, gap in zip(modes, _off_identity(plane.gram_2d(jmax, grid)))
+        ), 1e-10),
+        "radial-equation": _check((
+            (plane.radial_de_relative(idx, r), lambda: {"mode": list(idx), "r": r})
+            for idx in modes for r in (0.3, 0.7, 1.5, 3.0)
+        ), 1e-9),
+    }
+
+    seed_jmax = min(jmax + 2, 8)
+    if radial_order <= seed_jmax:
+        raise ValueError(
+            f"--order {radial_order} is too small for the plane round trip: its seed modes "
+            f"reach j={seed_jmax} and need --order at least {seed_jmax + 1}"
+        )
+    if grid.angular_count <= 2 * seed_jmax:
+        grid = plane.PolarGrid.build(radial_order, max(angular, 32))
+    seed = plane.ModeCoefficients(coeffs={
+        idx: complex(1.0 + idx.j - 0.3 * idx.m, 0.5 * idx.m - 0.1 * idx.j)
+        / (1.0 + idx.j**2 + idx.m**2)
+        for idx in plane.modes_up_to(seed_jmax)
+    }, jmax=seed_jmax)
+    roundtrip = plane.decompose(plane.reconstruct(seed, grid), seed_jmax)
+    checks["round-trip"] = _check((
+        (abs(seed.get(*idx) - roundtrip.get(*idx)), lambda: {"mode": list(idx)})
+        for idx in plane.modes_up_to(seed_jmax)
+    ), 1e-10)
+    checks["mode-operator-algebra"] = _check(_mode_algebra_cases(singles))
+    checks["mode-casimir"] = _check(
+        (abs(plane.mode_casimir(v).get(*idx) - idx.j * (idx.j + 1)), lambda: {"mode": list(idx)})
+        for idx, v in singles
+    )
+    checks["pointwise-consistency"] = _check(_pointwise_cases(), 1e-8)
     return checks
 
 
@@ -389,40 +388,37 @@ def suite_plane(jmax: int = 6, radial_order: int = 64, angular: int = 64) -> dic
 
 
 def suite_so32() -> dict:
-    checks: dict[str, dict] = {}
     sc = opalgebra.derive_structure_constants()
-    witness = None
-    if sc.witness is not None:
-        (op_a, op_b), state = sc.witness
-        witness = {"pair": f"[{op_a.value},{op_b.value}]", "state": list(state)}
-    closure = _exact_check(sc.closure_residual, sc.cases, witness)
-    checks["commutator-closure"] = closure
-    checks["antisymmetry"] = _exact_check(sc.antisymmetry_residual())
-    checks["jacobi-identity"] = _exact_check(sc.jacobi_residual())
-
-    if sc.witness is not None:
+    witness = sc.witness and {"pair": _pair(*sc.witness[0]), "state": list(sc.witness[1])}
+    checks = {
+        "commutator-closure": _record(sc.closure_residual, sc.cases, witness),
+        "antisymmetry": _check(
+            (gap, lambda: {"pair": _pair(*pair)}) for pair, gap in sc.antisymmetry_gaps()
+        ),
+        "jacobi-identity": _check(
+            (gap, lambda: {"triple": [g.value for g in triple]})
+            for triple, gap in sc.jacobi_gaps()
+        ),
+    }
+    if witness:
         # Downstream quantities are meaningless on a broken algebra.
-        reason = f"closure failed at {closure['witness']['pair']} on {tuple(state)}"
+        reason = f"closure failed at {witness['pair']} on {tuple(sc.witness[1])}"
         for name in ("killing-su2-block", "killing-casimir-constancy", "killing-casimir-value"):
-            checks[name] = {
-                "mode": "exact",
-                "max_residual": None,  # nothing was measured
-                "tolerance": 0.0,
-                "pass": False,
-                "skipped_reason": reason,
-            }
+            checks[name] = {**_check(()), "max_residual": None, "skipped_reason": reason}
         return checks
 
     _, block_residual = opalgebra.su2_block_scale(sc)
-    checks["killing-su2-block"] = _exact_check(block_residual)
-
+    checks["killing-su2-block"] = _check([(block_residual, lambda: {"block": "su2"})])
     states = [(0, 0), (1, 2), (2, 4), (5, 3), (3, 3), (4, 1)]
-    values = [opalgebra.killing_casimir(sc, s) for s in states]
-    checks["killing-casimir-constancy"] = _exact_check(max(values) - min(values))
-    record = _exact_check(max(abs(v + Fraction(5, 4)) for v in values))
-    record["eigenvalue"] = float(values[0])
-    record["reference"] = -1.25
-    checks["killing-casimir-value"] = record
+    values = {s: opalgebra.killing_casimir(sc, s) for s in states}
+    checks["killing-casimir-constancy"] = _check(
+        (abs(values[s] - values[t]), lambda: {"states": [list(s), list(t)]})
+        for s, t in combinations(states, 2)
+    )
+    value = _check(
+        (abs(v + Fraction(5, 4)), lambda: {"state": list(s)}) for s, v in values.items()
+    )
+    checks["killing-casimir-value"] = dict(value, eigenvalue=float(values[0, 0]), reference=-1.25)
     return checks
 
 

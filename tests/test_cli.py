@@ -208,7 +208,8 @@ def test_verify_label_diff_defect_names_form_and_state(capsys):
     assert check["pass"] is False
     assert check["cases"] == 726
     assert check["witness"] == {"op": "J+", "state": [1, 2]}
-    assert "FAILED algebra/label-diff-consistency" in err.splitlines()
+    line = 'FAILED algebra/label-diff-consistency at {"op": "J+", "state": [1, 2]}'
+    assert line in err.splitlines()
 
 
 def test_verify_defect_fails_and_names_identity(capsys):
@@ -241,6 +242,43 @@ def test_verify_defect_report_pins_failing_checks(capsys):
         "casimir-s": 12.0,
         "label-diff-consistency": 2.0,
     }
+
+
+def test_verify_defect_names_each_failing_algebra_witness(capsys):
+    # The defect flips the J+ element out of the state (1, 2).
+    code, out, err = run(capsys, "verify", "--suite", "algebra", "--defect", "jplus-sign")
+    assert code == 1
+    witnesses = {
+        name: check["witness"]
+        for name, check in json.loads(out)["suites"]["algebra"].items()
+        if not check["pass"]
+    }
+    assert witnesses == {
+        "su2-commutators": {"state": [1, 2], "pair": "[J+,J-]"},
+        "r-ladder-commutators": {"state": [0, 1], "pair": "[R+,R-]"},
+        "s-ladder-commutators": {"state": [1, 0], "pair": "[S+,S-]"},
+        "r-s-cross-commutators": {"state": [0, 1], "pair": "[R+,S+]"},
+        "casimir-su2": {"state": [1, 2]},
+        "casimir-r": {"state": [0, 1]},
+        "casimir-s": {"state": [1, 0]},
+        "label-diff-consistency": {"op": "J+", "state": [1, 2]},
+    }
+    assert err.splitlines() == [
+        f"FAILED algebra/{name} at {json.dumps(witness)}" for name, witness in witnesses.items()
+    ]
+    assert err.splitlines()[0] == 'FAILED algebra/su2-commutators at {"state": [1, 2], "pair": "[J+,J-]"}'
+
+
+def test_verify_plane_order_error_names_the_option_and_the_seed(capsys):
+    # The round trip seeds modes through min(jmax + 2, 8): j = 8 needs nine nodes.
+    code, out, err = run(capsys, "verify", "--suite", "plane", "--jmax", "6", "--order", "8")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: --order 8 is too small for the plane round trip: its seed modes "
+        "reach j=8 and need --order at least 9\n"
+    )
+    assert run(capsys, "verify", "--suite", "plane", "--jmax", "6", "--order", "9")[0] == 0
 
 
 def test_verify_output_is_deterministic(capsys):

@@ -190,6 +190,24 @@ def test_insufficient_order_names_requirement():
         inner_product(carrier_M(5, 5), carrier_M(5, 5), small)
 
 
+@pytest.mark.parametrize(
+    "call, need, message",
+    [
+        (lambda rule: inner_product(carrier_M(5, 5), carrier_M(5, 5), rule), 6, "degree 10"),
+        (lambda rule: gram_matrix(2, 12, rule), 14, "the family"),
+        (lambda rule: projection_convergence(carrier_M(4, 6), 2, 8, rule), 10, "the projection"),
+    ],
+)
+def test_each_integral_is_refused_one_order_short(call, need, message):
+    # An order-n rule is exact through degree 2n - 1; one node fewer is refused.
+    with pytest.raises(ValueError) as refused:
+        call(gauss_laguerre(need - 1))
+    assert str(refused.value) == (
+        f"rule order {need - 1} insufficient for {message}; need at least {need}"
+    )
+    call(gauss_laguerre(need))
+
+
 # -- projections ----------------------------------------------------------------------
 
 
