@@ -9,8 +9,9 @@ round trip), the JSON report and the CSV formats, the largest
 quadrature rule (order 200), evaluation at x = 0 and a table of a
 negative-parameter carrier, and the benchmark's
 plane round trip: a jmax-8 mode file to a 96 x 64 field, with and without
-``--apply J3``, decomposed again, one field with a misplaced sample, and
-``--apply Jplus`` on a single mode at large j (999,983).
+``--apply J3``, decomposed again, one field with a misplaced sample,
+``--apply Jplus`` on a single mode at large j (999,983), and a mode whose
+power is beyond the float range (exit 2).
 Run it on two checkouts and diff the outputs to confirm that a change
 leaves every command's output byte-identical:
 
@@ -62,7 +63,7 @@ def _misplace_one_sample(field_text: str) -> str:
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         modes, modes8 = Path(tmp) / "modes.csv", Path(tmp) / "modes8.csv"
-        large_j = Path(tmp) / "large-j.csv"
+        large_j, large_amp = Path(tmp) / "large-j.csv", Path(tmp) / "large-amplitude.csv"
         field, field96, field96_j3, misplaced = (
             Path(tmp) / name
             for name in ("field.csv", "field96.csv", "field96-j3.csv", "misplaced.csv")
@@ -70,6 +71,7 @@ def main() -> None:
         modes.write_text(_mode_file_text(), encoding="utf-8")
         modes8.write_text(_mode_file_text(8), encoding="utf-8")
         large_j.write_text("j,m,re,im\n999983,0,1.0,0.0\n", encoding="utf-8")
+        large_amp.write_text("j,m,re,im\n1,0,1e200,0\n", encoding="utf-8")
         # decompose reads the output of these three
         to_field = ["modes", "--input", str(modes), "--to-field"]
         to_field96 = ["modes", "--input", str(modes8), "--to-field",
@@ -79,6 +81,7 @@ def main() -> None:
             ["verify", "--suite", "all"],
             ["verify", "--suite", "all", "--defect", "jplus-sign"],
             ["verify", "--suite", "algebra", "--nmax", "4", "--defect", "jplus-sign"],
+            ["verify", "--suite", "so32", "--defect", "jplus-sign"],
             ["verify", "--suite", "exact", "--nmax", "0", "--alpha-max", "0"],
             # The round trip's seed modes reach j = 8, past --jmax 6: exit 2.
             ["verify", "--suite", "plane", "--jmax", "6", "--order", "8"],
@@ -105,6 +108,7 @@ def main() -> None:
             ["decompose", "--input", str(field96_j3), "--jmax", "8"],
             ["decompose", "--input", str(misplaced), "--jmax", "8"],
             ["modes", "--input", str(large_j), "--apply", "Jplus"],
+            ["modes", "--input", str(large_amp)],  # |1e200|**2 overflows: exit 2
         ]
         for argv in calls:
             code, stdout, stderr = _run(argv)

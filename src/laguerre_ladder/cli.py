@@ -297,13 +297,34 @@ def cmd_decompose(args) -> int:
     rows = _parse_csv(_read_lines(args.input), ["r", "phi", "re", "im"], 4)
     field = _field_from_rows(rows)
     coeffs = plane.decompose(field, args.jmax)
-    print("j,m,re,im,power")
-    for idx, amp in coeffs.sorted_items():
-        power = abs(amp) ** 2
-        if power > args.min_power:
-            print(f"{idx.j},{idx.m},{_fmt(amp.real)},{_fmt(amp.imag)},{_fmt(power)}")
-    print(f"captured power: {_fmt(coeffs.power())}", file=sys.stderr)
+    rows = _mode_rows(coeffs, args.min_power)
+    try:
+        captured = coeffs.power()
+    except OverflowError:
+        raise ValueError("the captured power is beyond the float range") from None
+    print("\n".join(["j,m,re,im,power", *rows]))
+    print(f"captured power: {_fmt(captured)}", file=sys.stderr)
     return 0
+
+
+def _mode_rows(coeffs: ModeCoefficients, min_power: float = -math.inf) -> list[str]:
+    """The CSV rows j,m,re,im,power of the modes whose power |amp|**2 exceeds min_power.
+
+    All rows are formed before any is printed, so a power beyond the float
+    range exits naming its mode, with nothing on stdout.
+    """
+    rows = []
+    for idx, amp in coeffs.sorted_items():
+        try:
+            power = abs(amp) ** 2
+        except OverflowError:
+            raise ValueError(
+                f"mode (j={idx.j}, m={idx.m}): the power of the amplitude {amp!r} "
+                "is beyond the float range"
+            ) from None
+        if power > min_power:
+            rows.append(f"{idx.j},{idx.m},{_fmt(amp.real)},{_fmt(amp.imag)},{_fmt(power)}")
+    return rows
 
 
 def _is_integer_text(cell: str) -> bool:
@@ -371,11 +392,7 @@ def cmd_modes(args) -> int:
                 for phi, a, b in zip(phis, row.real.tolist(), row.imag.tolist())
             ))
         return 0
-    print("j,m,re,im,power")
-    for idx, amp in coeffs.sorted_items():
-        print(
-            f"{idx.j},{idx.m},{_fmt(amp.real)},{_fmt(amp.imag)},{_fmt(abs(amp) ** 2)}"
-        )
+    print("\n".join(["j,m,re,im,power", *_mode_rows(coeffs)]))
     return 0
 
 

@@ -3,29 +3,22 @@
 Sixteen named generators plus the auxiliary position, derivative, number
 and second-order equation operators, in two realizations:
 
-* exact shift actions on label vectors in the integer gauge: on the
-  unnormalised states |n,p>_o = sqrt(n! p!) |n,p> of Schwinger's two-boson
-  realisation every generator has integer matrix elements (half-integers
-  on the diagonal), so commutators, Casimir eigenvalues, the so(3,2)
-  structure constants, the Killing form and its Casimir, none of which
-  depend on the basis, come out in int/Fraction arithmetic; a normalised
-  matrix element is formed as one exact radical only to round it, in
-  the one float action (``apply_label``, ``commutator_label``) on plain
-  mappings {(n, p): coefficient} over the normalised states, real or
-  complex, and
+* exact actions on label vectors in the integer gauge: on the unnormalised
+  states |n,p>_o = sqrt(n! p!) |n,p> = (a+)**n (b+)**p |0> every generator
+  has integer matrix elements (half-integers on the diagonal), so
+  commutators, Casimir eigenvalues and the Killing form come out in
+  int/Fraction arithmetic; a normalised element is formed as one exact
+  radical only to round it, in the one float action (``apply_label``), and
 * differential forms on carriers, applied to the exact core of each
-  carrier once (one symbolic table for the first-order forms) and then
-  evaluated pointwise.
+  carrier once and then evaluated pointwise.
 
 The label action is ground truth; differential forms are checked against
-it.  Two tables state what each generator is: ``_SHIFTS`` gives the shift
-and matrix element of the eight single-step and six diagonal generators,
-and ``SL2_TRIPLES`` the (H, E+, E-, step, sign) of the four sl(2) triples,
-from which the ladder relations, the Casimirs and the spin ladder on plane
-modes are read.  The quadratic composites (the double-raising and
-double-lowering families) are never given independent matrix elements:
-they are always composed from the single-step actions through their
-commutator definitions.
+it.  ``_BILINEARS`` states every generator once, as a normal-ordered
+polynomial in two bosons (Schwinger's method): one monomial rule gives the
+label action, and polynomial products the so(3,2) structure constants.
+``SL2_TRIPLES`` gives the (H, E+, E-, step, sign) of the four sl(2) triples,
+which the ladder relations, the Casimirs and the plane spin ladder read.
+The paper's commutator definitions of R+- and S+- are checked, not used.
 """
 
 from __future__ import annotations
@@ -36,8 +29,9 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
+from math import comb, perm
 from types import MappingProxyType
-from typing import Iterator, Literal, Mapping, Sequence
+from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from .basis import BasisIndex, Carrier, carrier_M, derived_core, evaluate, evaluate_derivative
 from .exactpoly import LaurentPoly
@@ -71,37 +65,41 @@ class OperatorName(Enum):
 # Coefficients over the unnormalised states |n,p>_o = sqrt(n! p!) |n,p>.
 ExactVector = dict[BasisIndex, int | Fraction]
 
-# Composite generators: (sign, first, second) meaning sign * [first, second].
-_COMMUTATOR_COMPOSITES = {
-    OperatorName.Rplus: (1, OperatorName.Jplus, OperatorName.Kplus),
-    OperatorName.Rminus: (-1, OperatorName.Jminus, OperatorName.Kminus),
-    OperatorName.Splus: (1, OperatorName.Jminus, OperatorName.Kplus),
-    OperatorName.Sminus: (-1, OperatorName.Jplus, OperatorName.Kminus),
+# A normal-ordered boson polynomial, {(i, j, k, l): coefficient} for a+**i a-**j b+**k b-**l.
+Polynomial = dict[tuple[int, int, int, int], int | Fraction]
+
+_HALF = Fraction(1, 2)
+
+# Every label operator as a polynomial in two bosons (J. Schwinger, On Angular
+# Momentum, 1952): the one place a generator is defined.
+_BILINEARS: dict[OperatorName, Polynomial] = {
+    OperatorName.Aplus: {(1, 0, 0, 0): 1},
+    OperatorName.Aminus: {(0, 1, 0, 0): 1},
+    OperatorName.Bplus: {(0, 0, 1, 0): 1},
+    OperatorName.Bminus: {(0, 0, 0, 1): 1},
+    OperatorName.Jplus: {(1, 0, 0, 1): 1},
+    OperatorName.Jminus: {(0, 1, 1, 0): 1},
+    OperatorName.Kplus: {(1, 0, 1, 0): 1},
+    OperatorName.Kminus: {(0, 1, 0, 1): 1},
+    OperatorName.Rplus: {(2, 0, 0, 0): 1},
+    OperatorName.Rminus: {(0, 2, 0, 0): 1},
+    OperatorName.Splus: {(0, 0, 2, 0): 1},
+    OperatorName.Sminus: {(0, 0, 0, 2): 1},
+    OperatorName.N: {(1, 1, 0, 0): 1},
+    OperatorName.P: {(0, 0, 1, 1): 1},
+    OperatorName.J3: {(1, 1, 0, 0): _HALF, (0, 0, 1, 1): -_HALF},
+    OperatorName.K3: {(1, 1, 0, 0): _HALF, (0, 0, 1, 1): _HALF, (0, 0, 0, 0): _HALF},
+    OperatorName.R3: {(1, 1, 0, 0): 1, (0, 0, 0, 0): _HALF},
+    OperatorName.S3: {(0, 0, 1, 1): 1, (0, 0, 0, 0): _HALF},
+    OperatorName.X: {(1, 0, 1, 0): -1, (0, 1, 0, 1): -1,  # X = N + P + 1 - K+ - K-
+                     (1, 1, 0, 0): 1, (0, 0, 1, 1): 1, (0, 0, 0, 0): 1},
+    OperatorName.E: {},
 }
 
-# The shift generators as one table, op -> (dn, dp, element(n, p)): op sends
-# the unnormalised state (n, p) to element(n, p) times (n + dn, p + dp).  A
-# zero element annihilates, which covers every edge of the lattice; the six
-# diagonal generators (dn = dp = 0) are the number operators and their
-# half-integer combinations.
-_SHIFTS = {
-    OperatorName.Aplus: (1, 0, lambda n, p: 1),
-    OperatorName.Aminus: (-1, 0, lambda n, p: n),
-    OperatorName.Bplus: (0, 1, lambda n, p: 1),
-    OperatorName.Bminus: (0, -1, lambda n, p: p),
-    OperatorName.Jplus: (1, -1, lambda n, p: p),
-    OperatorName.Jminus: (-1, 1, lambda n, p: n),
-    OperatorName.Kplus: (1, 1, lambda n, p: 1),
-    OperatorName.Kminus: (-1, -1, lambda n, p: n * p),
-    OperatorName.N: (0, 0, lambda n, p: n),
-    OperatorName.P: (0, 0, lambda n, p: p),
-    OperatorName.J3: (0, 0, lambda n, p: Fraction(n - p, 2)),
-    OperatorName.K3: (0, 0, lambda n, p: Fraction(n + p + 1, 2)),
-    OperatorName.R3: (0, 0, lambda n, p: Fraction(2 * n + 1, 2)),
-    OperatorName.S3: (0, 0, lambda n, p: Fraction(2 * p + 1, 2)),
-}
-
-_DIAGONAL = tuple(op for op, (dn, dp, _) in _SHIFTS.items() if dn == dp == 0)
+# The number operators and their half-integer combinations; E is zero, not diagonal.
+_DIAGONAL = tuple(
+    op for op, f in _BILINEARS.items() if f and all(i == j and k == l for i, j, k, l in f)
+)
 
 # The four sl(2) triples, Casimir name -> (H, E+, E-, step, sign):
 # [H, E+-] = +-step E+-, [E+, E-] = 2 sign step H, and the Casimir is
@@ -141,26 +139,33 @@ def _terms(op: OperatorName, n: int, p: int) -> Mapping[BasisIndex, int | Fracti
     return MappingProxyType(_image(op, n, p, _injected_defect))
 
 
-# Sized from counted keys: one verify --suite all builds 3,303 distinct
+# Sized from counted keys: one verify --suite all builds 3,142 distinct
 # images, the three mode operators on every plane mode through j = 8 build 243.
 @lru_cache(maxsize=4096, typed=True)
 def _image(op: OperatorName, n: int, p: int, defect: str | None) -> ExactVector:
-    if op in _SHIFTS:
-        dn, dp, element = _SHIFTS[op]
-        elem = element(n, p)
-        if op is OperatorName.Jplus and defect == "jplus-sign" and (n, p) == (1, 2):
-            elem = -elem
-        return {BasisIndex(n + dn, p + dp): elem} if elem else {}
-    if op is OperatorName.E:
-        return {}
-    if op in _COMMUTATOR_COMPOSITES:
-        sign, first, second = _COMMUTATOR_COMPOSITES[op]
-        return commutator_exact(first, second, {BasisIndex(n, p): sign})
-    if op is OperatorName.X:
-        # X = (N + P + 1) - K+ - K- as an exact operator identity.
-        ladder = _terms(OperatorName.Kplus, n, p) | _terms(OperatorName.Kminus, n, p)
-        return {t: -elem for t, elem in ladder.items()} | {BasisIndex(n, p): n + p + 1}
-    raise ValueError(f"operator {op.value} has no label-space action")
+    """One monomial rule: a+**i a-**j b+**k b-**l sends (n, p) to
+    (n - j + i, p - l + k) with the element n!/(n-j)! p!/(p-l)!, which
+    ``perm`` makes zero when j > n or l > p."""
+    if op not in _BILINEARS:
+        raise ValueError(f"operator {op.value} has no label-space action")
+    out: ExactVector = {}
+    for (i, j, k, l), coeff in _BILINEARS[op].items():
+        target = BasisIndex(n - j + i, p - l + k)
+        out[target] = out.get(target, 0) + coeff * perm(n, j) * perm(p, l)
+    if op is OperatorName.Jplus and defect == "jplus-sign" and (n, p) == (1, 2):
+        out = {t: -elem for t, elem in out.items()}
+    return {t: elem for t, elem in out.items() if elem}
+
+
+def combine(terms: Iterable[tuple[int | Fraction, Mapping]]) -> dict:
+    """Sum of scale * vector over (scale, vector) terms, zeros dropped.
+
+    A vector is a label vector or a boson polynomial."""
+    out: dict = {}
+    for scale, poly in terms:
+        for key, c in poly.items():
+            out[key] = out.get(key, 0) + scale * c
+    return {key: c for key, c in out.items() if c}
 
 
 def apply_exact(op: OperatorName, vec: Mapping[BasisIndex, int | Fraction]) -> ExactVector:
@@ -192,13 +197,11 @@ def normalised(
 ) -> dict[BasisIndex, SqrtSum]:
     """Image of the normalised state ``source`` on normalised states.
 
-    ``vec`` is the image of the unnormalised state |s>_o, s = source.
-    Dividing by sqrt(s!) and renormalising each target turns a coefficient
-    c on t into c * sqrt(t!/s!), where (n, p)! means n! p!.  The root is
-    the product of the radicals of the factors by which the labels differ,
-    each split on its own, so no radicand exceeds the larger label (a
-    generator moves each label by at most two: at most four factors).  The
-    radical form is unique, so the float it rounds to does not depend on how
+    ``vec`` is the image of the unnormalised state |s>_o, s = source; a
+    coefficient c on t becomes c * sqrt(t!/s!), where (n, p)! means n! p!.
+    The root is the product of the radicals of the factors by which the
+    labels differ, each split on its own, so no radicand exceeds the larger
+    label.  The radical form is unique, so its float does not depend on how
     c was built.
     """
     n, p = source
@@ -275,16 +278,15 @@ def _quadratic_eigenvalue(
     other label reached, when the state is not an eigenvector.
     """
     key = BasisIndex(*idx)
-    state, images = exact_state(*key), {}
-    acc: ExactVector = {key: offset}
-    for scale, first, second in parts:
-        if second not in images:
-            images[second] = apply_exact(second, state)
-        for label, coeff in apply_exact(first, images[second]).items() if scale else ():
-            acc[label] = acc.get(label, 0) + scale * coeff
-    eigen = Fraction(acc.pop(key))
-    if leak := [tuple(label) for label, coeff in acc.items() if coeff]:
-        raise RuntimeError(f"{name} is not diagonal on {tuple(key)}: leakage onto {leak[0]}")
+    state = exact_state(*key)
+    images = {b: apply_exact(b, state) for b in dict.fromkeys(b for _, _, b in parts)}
+    acc = combine([(offset, state)] + [
+        (scale, apply_exact(a, images[b])) for scale, a, b in parts if scale
+    ])
+    eigen = Fraction(acc.pop(key, 0))
+    if acc:
+        leak = tuple(next(iter(acc)))
+        raise RuntimeError(f"{name} is not diagonal on {tuple(key)}: leakage onto {leak}")
     return eigen
 
 
@@ -399,7 +401,7 @@ def apply_diff(op: OperatorName, c: Carrier, x: float) -> float:
         raise ValueError(f"carrier is not the basis function of its label {(n, p)}")
 
     if op in _DIAGONAL:
-        return float(_SHIFTS[op][2](n, p)) * evaluate(c, x)
+        return float(_terms(op, n, p).get((n, p), 0)) * evaluate(c, x)
     if op is OperatorName.X:
         return x * evaluate(c, x)
     if op is OperatorName.Dx:
@@ -423,15 +425,6 @@ SO32_GENERATORS: tuple[OperatorName, ...] = (
     OperatorName.Splus,
     OperatorName.Sminus,
 )
-
-# Twelve interior states, away from annihilation boundaries; their images
-# determine every commutator's expansion over the ten generators.
-SAMPLE_STATES: tuple[BasisIndex, ...] = tuple(
-    BasisIndex(n, p)
-    for n, p in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4),
-                 (4, 2), (4, 3), (4, 4), (5, 3), (5, 5)]
-)
-
 
 def _row_reduce(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Fraction, and its pivot columns."""
@@ -466,16 +459,16 @@ class StructureConstants:
     """Expansion of every commutator over the ten closing generators.
 
     ``table[a][b][c]`` is the exact coefficient of generator c in
-    [X_a, X_b].  ``closure_residual`` is the largest integer-gauge mismatch
-    between a commutator and its expansion on a sample state, ``witness``
-    the first (pair, state) that does not close (None if all do), and
-    ``cases`` the number of (pair, state) checks.
+    [X_a, X_b].  ``closure_residual`` is the largest coefficient a
+    commutator's polynomial leaves over after its expansion, ``witness``
+    the first pair that does not close (None if all do), and ``cases`` the
+    number of pairs.
     """
 
     generators: tuple[OperatorName, ...]
     table: list[list[list[Fraction]]]
     closure_residual: Fraction
-    witness: tuple[tuple[OperatorName, OperatorName], BasisIndex] | None
+    witness: tuple[OperatorName, OperatorName] | None
     cases: int
 
     @cached_property
@@ -517,46 +510,48 @@ class StructureConstants:
         return [[B[i3][i3] * v for v in row] for row in _inverse(B)]
 
 
-def derive_structure_constants() -> StructureConstants:
-    """Solve every commutator of the ten generators over the generator basis.
+def _product(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The normal-ordered product f g: the a and b bosons commute, and
+    a-**j a+**k = sum_r C(j, r) k!/(k-r)! a+**(k-r) a-**(j-r), the same for b."""
+    out: Polynomial = {}
+    for ((i, j, k, l), c), ((i2, j2, k2, l2), d) in product(f.items(), g.items()):
+        for r, s in product(range(min(j, i2) + 1), range(min(l, k2) + 1)):
+            key = (i + i2 - r, j + j2 - r, k + k2 - s, l + l2 - s)
+            term = c * d * comb(j, r) * perm(i2, r) * comb(l, s) * perm(k2, s)
+            out[key] = out.get(key, 0) + term
+    return {key: c for key, c in out.items() if c}
 
-    Exact, on the integer-gauge images of SAMPLE_STATES.  The design matrix
-    (generator images, one row per sample state and target label) does not
-    depend on the pair: ten independent rows are inverted once, each pair
-    a < b is solved by one mat-vec, and the solution is then checked on
-    every row of every sample state.
+
+def derive_structure_constants() -> StructureConstants:
+    """Expand every commutator of the ten generators over the generators.
+
+    Exact, on their polynomials: each bracket is read off over ten
+    independent monomial rows of the generators, inverted once; whatever the
+    expansion leaves over is the closure residual.
     """
     gens, dim = SO32_GENERATORS, len(SO32_GENERATORS)
-    images = [[apply_exact(g, exact_state(*s)) for s in SAMPLE_STATES] for g in gens]
-    keys = [
-        (i, t)
-        for i in range(len(SAMPLE_STATES))
-        for t in sorted({t for image in images for t in image[i]})
-    ]
-    design = [[image[i].get(t, 0) for image in images] for i, t in keys]
+    polys = [_BILINEARS[g] for g in gens]
+    monomials = sorted({key for f in polys for key in f})
+    design = [[f.get(key, 0) for f in polys] for key in monomials]
     # The pivot columns of the transpose are the first independent rows.
     _, rows = _row_reduce(list(zip(*design)))
     if len(rows) < dim:
-        raise RuntimeError("sample states underdetermine the generator expansion")
+        raise RuntimeError("the generator polynomials are linearly dependent")
     solve = _inverse([design[k] for k in rows])
 
     table = [[[Fraction(0)] * dim for _ in gens] for _ in gens]
     worst, witness = Fraction(0), None
     for a, b in combinations(range(dim), 2):
-        comm = [commutator_exact(gens[a], gens[b], exact_state(*s)) for s in SAMPLE_STATES]
-        rhs = [comm[keys[k][0]].get(keys[k][1], 0) for k in rows]
+        f, g = polys[a], polys[b]
+        bracket = combine([(1, _product(f, g)), (-1, _product(g, f))])
+        rhs = [bracket.get(monomials[k], 0) for k in rows]
         coeffs = [Fraction(sum(v * c for v, c in zip(row, rhs) if c)) for row in solve]
         table[a][b], table[b][a] = coeffs, [-c for c in coeffs]
-        for i, s in enumerate(SAMPLE_STATES):
-            gap = dict(comm[i])
-            for c, image in zip(coeffs, images):
-                for t, v in image[i].items() if c else ():
-                    gap[t] = gap.get(t, 0) - c * v
-            worst = max([worst, *map(abs, gap.values())])
-            if witness is None and any(gap.values()):
-                witness = ((gens[a], gens[b]), s)
-    cases = dim * (dim - 1) // 2 * len(SAMPLE_STATES)
-    return StructureConstants(gens, table, worst, witness, cases)
+        left = combine([(1, bracket), *((-c, poly) for c, poly in zip(coeffs, polys))])
+        worst = max([worst, *map(abs, left.values())])
+        if witness is None and left:
+            witness = (gens[a], gens[b])
+    return StructureConstants(gens, table, worst, witness, dim * (dim - 1) // 2)
 
 
 def killing_form(sc: StructureConstants) -> list[list[Fraction]]:

@@ -106,6 +106,10 @@ class Field2D:
             raise ValueError(
                 f"sample array has shape {self.values.shape}, grid wants {expected}"
             )
+        if not np.isfinite(self.values).all():
+            k, q = np.argwhere(~np.isfinite(self.values))[0]
+            r, phi = self.grid.radial_nodes[k], self.grid.angular_nodes[q]
+            raise ValueError(f"the sample at the grid node r={r!r}, phi={phi!r} is not finite")
 
 
 @dataclass
@@ -121,6 +125,8 @@ class ModeCoefficients:
             idx = _check_mode(ModeIndex(*idx))
             if idx.j > self.jmax:
                 raise ValueError(f"mode {tuple(idx)} exceeds jmax={self.jmax}")
+            if not cmath.isfinite(amp):
+                raise ValueError(f"mode (j={idx.j}, m={idx.m}) has a non-finite amplitude {amp!r}")
             if amp:
                 clean[idx] = complex(amp)
         self.coeffs = clean
@@ -260,8 +266,10 @@ def reconstruct(coeffs: ModeCoefficients, grid: PolarGrid) -> Field2D:
     phis = np.array(grid.angular_nodes)
     damp = np.exp(-np.array(grid.radial_x) / 2)
     items = coeffs.sorted_items()
-    for (idx, amp), radial in zip(items, radial_samples([idx for idx, _ in items], grid)):
-        values += amp * np.outer(radial * damp, np.exp(1j * idx.m * phis))
+    # A sum beyond the float range is named by its grid node, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (idx, amp), radial in zip(items, radial_samples([idx for idx, _ in items], grid)):
+            values += amp * np.outer(radial * damp, np.exp(1j * idx.m * phis))
     return Field2D(grid=grid, values=values)
 
 

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from laguerre_ladder import cli
+from laguerre_ladder import cli, opalgebra
 from laguerre_ladder.cli import main
+from laguerre_ladder.opalgebra import OperatorName
 
 
 M_LABELS = ["--family", "M", "--n", "2", "--alpha", "1"]
@@ -165,28 +166,41 @@ def test_verify_so32_names_value(capsys):
 
 
 def test_verify_so32_defect_names_pair_and_state(capsys):
+    # The defect patches the label action, not the table: the constants still
+    # close, and the Killing Casimir, taken through the label action, names
+    # the state the defect breaks.
     code, out, err = run(capsys, "verify", "--suite", "so32", "--defect", "jplus-sign")
     assert code == 1
-    closure = json.loads(out)["suites"]["so32"]["commutator-closure"]
-    assert closure["mode"] == "exact"
-    assert closure["pass"] is False
-    assert closure["witness"] == {"pair": "[J+,R-]", "state": [3, 2]}
-    assert "FAILED so32/commutator-closure" in err
+    checks = json.loads(out)["suites"]["so32"]
+    assert checks["commutator-closure"] == {
+        "mode": "exact", "max_residual": 0.0, "tolerance": 0.0, "pass": True, "cases": 45
+    }
+    witnesses = {name: c["witness"] for name, c in checks.items() if not c["pass"]}
+    assert witnesses == {
+        "killing-casimir-constancy": {"states": [[0, 0], [1, 2]]},
+        "killing-casimir-value": {"state": [1, 2]},
+    }
+    assert err.splitlines() == [
+        f"FAILED so32/{name} at {json.dumps(witness)}" for name, witness in witnesses.items()
+    ]
 
 
 def _reject_constant(token):
     raise ValueError(f"non-JSON token {token}")
 
 
-def test_verify_defect_report_is_strict_json(capsys):
+def test_verify_defect_report_is_strict_json(capsys, monkeypatch):
     # The Killing checks are skipped once closure fails; they measured nothing.
-    code, out, _ = run(capsys, "verify", "--suite", "so32", "--defect", "jplus-sign")
+    # R+ = a+**3 is no quadratic, so the generators no longer close.
+    monkeypatch.setitem(opalgebra._BILINEARS, OperatorName.Rplus, {(3, 0, 0, 0): 1})
+    code, out, _ = run(capsys, "verify", "--suite", "so32")
     assert code == 1
     checks = json.loads(out, parse_constant=_reject_constant)["suites"]["so32"]
+    assert checks["commutator-closure"]["witness"] == {"pair": "[J+,K+]"}
     for name in ("killing-su2-block", "killing-casimir-constancy", "killing-casimir-value"):
         assert checks[name]["max_residual"] is None
         assert checks[name]["pass"] is False
-        assert "skipped_reason" in checks[name]
+        assert checks[name]["skipped_reason"] == "closure failed at [J+,K+]"
 
 
 def test_verify_check_of_nothing_fails(capsys):
@@ -232,14 +246,12 @@ def test_verify_defect_report_pins_failing_checks(capsys):
         for name, check in json.loads(out)["suites"]["algebra"].items()
         if not check["pass"]
     }
+    # R+- and S+- are table entries, so only the checks that apply J+ itself
+    # fail; composite-definitions is worst on (1, 2): 4 on (3, 2), times sqrt(3! 2!/2!).
     assert failing == {
         "su2-commutators": 8.0,
-        "r-ladder-commutators": 24.0,
-        "s-ladder-commutators": 24.0,
-        "r-s-cross-commutators": 33.941125496954285,
+        "composite-definitions": 4 * math.sqrt(6),
         "casimir-su2": 4.0,
-        "casimir-r": 12.0,
-        "casimir-s": 12.0,
         "label-diff-consistency": 2.0,
     }
 
@@ -255,12 +267,8 @@ def test_verify_defect_names_each_failing_algebra_witness(capsys):
     }
     assert witnesses == {
         "su2-commutators": {"state": [1, 2], "pair": "[J+,J-]"},
-        "r-ladder-commutators": {"state": [0, 1], "pair": "[R+,R-]"},
-        "s-ladder-commutators": {"state": [1, 0], "pair": "[S+,S-]"},
-        "r-s-cross-commutators": {"state": [0, 1], "pair": "[R+,S+]"},
+        "composite-definitions": {"state": [0, 1], "pair": "[J+,K+]"},
         "casimir-su2": {"state": [1, 2]},
-        "casimir-r": {"state": [0, 1]},
-        "casimir-s": {"state": [1, 0]},
         "label-diff-consistency": {"op": "J+", "state": [1, 2]},
     }
     assert err.splitlines() == [

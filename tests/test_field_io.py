@@ -222,3 +222,79 @@ def test_reader_keeps_negative_zero_parts():
     for z in fld.values.ravel():
         assert math.copysign(1.0, z.real) == -1.0
         assert math.copysign(1.0, z.imag) == -1.0
+
+
+# -- amplitudes and powers beyond the float range ---------------------------------------
+
+
+def _one_mode(tmp_path, amplitude, name="modes.csv"):
+    path = tmp_path / name
+    path.write_text(f"j,m,re,im\n1,0,{amplitude},0\n")
+    return path
+
+
+def test_mode_power_beyond_the_float_range_names_the_mode(tmp_path, capsys):
+    # |1e200|**2 overflows; nothing, not even the header, reaches stdout.
+    path = _one_mode(tmp_path, "1e200")
+    code, out, err = run(capsys, "modes", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: mode (j=1, m=0): the power of the amplitude (1e+200+0j) is beyond the float range"
+    ]
+
+
+def test_decompose_power_beyond_the_float_range_names_the_mode(tmp_path, capsys):
+    # The field of a 1e200 mode is finite, and so is each amplitude of it.
+    code, field, _ = run(capsys, "modes", "--input", str(_one_mode(tmp_path, "1e200")),
+                         "--to-field")
+    assert code == 0
+    path = tmp_path / "field.csv"
+    path.write_text(field)
+    code, out, err = run(capsys, "decompose", "--input", str(path), "--jmax", "1")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: mode (j=0, m=0): the power of the amplitude")
+
+
+@pytest.mark.parametrize("to_field", [[], ["--to-field"]])
+def test_raised_amplitude_beyond_the_float_range_names_the_mode(tmp_path, capsys, to_field):
+    # sqrt(2) * 1.7e308 is inf: no inf row, and no field of inf and NaN samples.
+    path = _one_mode(tmp_path, "1.7e308")
+    with np.errstate(all="raise"):
+        code, out, err = run(capsys, "modes", "--input", str(path), "--apply", "Jplus", *to_field)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: mode (j=1, m=1) has a non-finite amplitude (inf+0j)"]
+
+
+def test_field_sum_beyond_the_float_range_names_the_grid_node(tmp_path, capsys):
+    # Each amplitude is finite; their sum on the grid is not.
+    path = tmp_path / "modes.csv"
+    path.write_text("j,m,re,im\n0,0,1.7e308,0\n1,0,1.7e308,0\n2,0,1.7e308,0\n")
+    code, out, err = run(capsys, "modes", "--input", str(path), "--to-field")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: the sample at the grid node r=")
+    assert err.rstrip().endswith("is not finite")
+
+
+def test_non_finite_samples_and_amplitudes_are_refused():
+    grid = PolarGrid.build(4, 4)
+    values = np.zeros((4, 4), dtype=complex)
+    values[1, 2] = complex(math.nan, 0)
+    r, phi = grid.radial_nodes[1], grid.angular_nodes[2]
+    with pytest.raises(ValueError, match=f"grid node r={r!r}, phi={phi!r} is not finite"):
+        Field2D(grid=grid, values=values)
+    with pytest.raises(ValueError, match=r"mode \(j=2, m=1\) has a non-finite amplitude"):
+        ModeCoefficients(coeffs={ModeIndex(2, 1): complex(math.inf, 0)}, jmax=2)
+
+
+def test_captured_power_beyond_the_float_range_is_refused(tmp_path, capsys):
+    # Each power is about 1e308, their sum is not a float.
+    path = tmp_path / "modes.csv"
+    path.write_text("j,m,re,im\n0,0,1e154,0\n1,0,1e154,0\n")
+    code, field, _ = run(capsys, "modes", "--input", str(path), "--to-field")
+    assert code == 0
+    path.write_text(field)
+    code, out, err = run(capsys, "decompose", "--input", str(path), "--jmax", "1")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: the captured power is beyond the float range"]

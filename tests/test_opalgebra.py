@@ -54,6 +54,9 @@ def test_diagonal_operators():
     assert oa.apply_label(Op.R3, v) == {BasisIndex(3, 1): 3.5}
     assert oa.apply_label(Op.S3, v) == {BasisIndex(3, 1): 1.5}
     assert oa.apply_label(Op.E, v) == {}
+    # E's polynomial is empty, but E is no number operator: its differential
+    # form is the equation operator's, not an eigenvalue.
+    assert oa._DIAGONAL == (Op.N, Op.P, Op.J3, Op.K3, Op.R3, Op.S3)
 
 
 def test_position_operator_tridiagonal():
@@ -292,6 +295,12 @@ def test_ladder_relations_derived_from_the_triples():
             (Op.S3, Op.Sminus, {Op.Sminus: -2}),
             (Op.Splus, Op.Sminus, {Op.S3: -4}),
         ],
+        "composite-definitions": [
+            (Op.Jplus, Op.Kplus, {Op.Rplus: 1}),
+            (Op.Jminus, Op.Kminus, {Op.Rminus: -1}),
+            (Op.Jminus, Op.Kplus, {Op.Splus: 1}),
+            (Op.Jplus, Op.Kminus, {Op.Sminus: -1}),
+        ],
         "r-s-cross-commutators": [
             (Op.Rplus, Op.Splus, {}),
             (Op.Rplus, Op.Sminus, {}),
@@ -331,9 +340,8 @@ def test_interchange_symmetry():
 
 
 def test_interchange_check_detects_a_broken_generator(monkeypatch):
-    dn, dp, _ = oa._SHIFTS[Op.Bplus]
     assert verify.suite_algebra(nmax=3)["interchange-symmetry"]["pass"] is True
-    monkeypatch.setitem(oa._SHIFTS, Op.Bplus, (dn, dp, lambda n, p: 2))
+    monkeypatch.setitem(oa._BILINEARS, Op.Bplus, {(0, 0, 1, 0): 2})
     oa._image.cache_clear()
     try:
         check = verify.suite_algebra(nmax=3)["interchange-symmetry"]
@@ -483,6 +491,107 @@ def test_label_and_differential_realizations_agree():
                     assert abs(lhs - rhs) / scale < 1e-9, (op, n, p, x)
 
 
+# -- the bilinear table ----------------------------------------------------------------
+
+
+def _bracket(f, g):
+    return oa.combine([(1, oa._product(f, g)), (-1, oa._product(g, f))])
+
+
+def _monomial_action(poly, n, p):
+    """a+**i a-**j b+**k b-**l on the state (n, p), written out term by term."""
+    out = {}
+    for (i, j, k, l), c in poly.items():
+        if j <= n and l <= p:
+            elem = c * (math.factorial(n) // math.factorial(n - j))
+            elem *= math.factorial(p) // math.factorial(p - l)
+            target = BasisIndex(n - j + i, p - l + k)
+            out[target] = out.get(target, 0) + elem
+    return {t: v for t, v in out.items() if v}
+
+
+def test_normal_ordering_examples():
+    a_minus, a_plus = oa._BILINEARS[Op.Aminus], oa._BILINEARS[Op.Aplus]
+    assert oa._product(a_minus, a_plus) == {(1, 1, 0, 0): 1, (0, 0, 0, 0): 1}
+    assert oa._product(a_plus, a_minus) == {(1, 1, 0, 0): 1}
+    # a-**2 a+**2 = a+**2 a-**2 + 4 a+ a- + 2
+    r_minus, r_plus = oa._BILINEARS[Op.Rminus], oa._BILINEARS[Op.Rplus]
+    assert oa._product(r_minus, r_plus) == {(2, 2, 0, 0): 1, (1, 1, 0, 0): 4, (0, 0, 0, 0): 2}
+
+
+def test_normal_ordered_products_act_as_the_composed_label_action():
+    table = oa._BILINEARS
+    for op_a in table:
+        for op_b in table:
+            prod = oa._product(table[op_a], table[op_b])
+            for n in range(9):
+                for p in range(9):
+                    composed = oa.apply_exact(op_a, oa.apply_exact(op_b, oa.exact_state(n, p)))
+                    assert _monomial_action(prod, n, p) == composed, (op_a, op_b, n, p)
+
+
+def test_ladder_relations_are_polynomial_identities():
+    # Every relation of the algebra suite, the four composite definitions
+    # included, holds in the table itself; G None is the identity.
+    table = {**oa._BILINEARS, None: {(0, 0, 0, 0): 1}}
+    for name, relations in verify._LADDER_RELATIONS.items():
+        for op_a, op_b, rhs in relations:
+            expected = oa.combine((factor, table[g]) for g, factor in rhs.items())
+            assert _bracket(table[op_a], table[op_b]) == expected, (name, op_a, op_b)
+
+
+def _casimir_polynomial(name):
+    h, plus, minus, _, sign = oa.SL2_TRIPLES[name]
+    t, half = oa._BILINEARS, Fraction(sign, 2)
+    return oa.combine([
+        (1, oa._product(t[h], t[h])),
+        (half, oa._product(t[plus], t[minus])),
+        (half, oa._product(t[minus], t[plus])),
+    ])
+
+
+def test_casimirs_normal_order_to_their_closed_forms():
+    assert _casimir_polynomial("CR") == {(0, 0, 0, 0): Fraction(-3, 4)}
+    assert _casimir_polynomial("CS") == {(0, 0, 0, 0): Fraction(-3, 4)}
+    n, p = oa._BILINEARS[Op.N], oa._BILINEARS[Op.P]
+    j = oa.combine([(Fraction(1, 2), n), (Fraction(1, 2), p)])
+    m = oa.combine([(Fraction(1, 2), n), (Fraction(-1, 2), p)])
+    assert _casimir_polynomial("Csu2") == oa.combine([(1, oa._product(j, j)), (1, j)])
+    assert _casimir_polynomial("Csu11") == oa.combine(
+        [(1, oa._product(m, m)), (Fraction(-1, 4), {(0, 0, 0, 0): 1})]
+    )
+
+
+def test_killing_casimir_normal_orders_to_a_constant(constants):
+    polys = [oa._BILINEARS[g] for g in constants.generators]
+    g = constants.casimir_metric
+    casimir = oa.combine(
+        (g[a][b], oa._product(polys[a], polys[b]))
+        for a in range(len(polys)) for b in range(len(polys)) if g[a][b]
+    )
+    assert casimir == {(0, 0, 0, 0): Fraction(-5, 4)}
+
+
+def test_structure_constants_use_no_label_action(monkeypatch):
+    def no_label_action(*args):
+        raise AssertionError("label action called")
+
+    monkeypatch.setattr(oa, "_image", no_label_action)
+    monkeypatch.setattr(oa, "apply_exact", no_label_action)
+    sc = oa.derive_structure_constants()
+    assert sc.witness is None and sc.cases == 45
+
+
+def test_closure_names_the_first_pair_that_leaves_the_span(monkeypatch):
+    # With R+ = a+**3, [J+, K+] = a+**2 is the first bracket out of the span.
+    monkeypatch.setitem(oa._BILINEARS, Op.Rplus, {(3, 0, 0, 0): 1})
+    sc = oa.derive_structure_constants()
+    assert sc.witness == (Op.Jplus, Op.Kplus)
+    # The largest leftover: [R+, R-] = -6 a+**2 a- - 6 a+.
+    assert sc.closure_residual == 6
+    assert sc.cases == 45
+
+
 # -- structure constants and the Killing form -----------------------------------------
 
 
@@ -494,7 +603,7 @@ def constants():
 def test_closure_residual(constants):
     assert constants.closure_residual == 0
     assert constants.witness is None
-    assert constants.cases == 45 * len(oa.SAMPLE_STATES) == 540
+    assert constants.cases == 45
 
 
 def test_antisymmetry_and_jacobi(constants):
@@ -524,7 +633,7 @@ def test_table_and_killing_entries_are_exact_integers(constants):
     assert killing == {-24, -12, 0, 6, 12}
 
 
-def test_table_reproduces_every_commutator_beyond_the_sample_states(constants):
+def test_table_reproduces_every_commutator_on_every_state(constants):
     gens = constants.generators
     for n in range(13):
         for p in range(13):
@@ -570,14 +679,20 @@ def test_killing_casimir_names_leakage(constants):
 
 
 def test_injected_defect_breaks_closure_detection():
+    # The defect patches one element of the label action; no polynomial
+    # carries it, so the constants still close and only the Killing Casimir,
+    # taken through the label action, sees the broken state.
+    clean = oa.derive_structure_constants()
     with oa.injected_defect("jplus-sign"):
         sc = oa.derive_structure_constants()
-        assert sc.witness == ((Op.Jplus, Op.Rminus), BasisIndex(3, 2))
-        assert sc.closure_residual > 0
-        with pytest.raises(ValueError, match="closure"):
-            oa.killing_casimir(sc, (2, 2))
-    sc = oa.derive_structure_constants()
-    assert sc.witness is None
+        assert sc.witness is None
+        assert sc.closure_residual == 0
+        assert sc.table == clean.table
+        assert oa.killing_casimir(sc, (2, 2)) == Fraction(-5, 4)
+        assert oa.killing_casimir(sc, (1, 2)) != Fraction(-5, 4)
+    broken = dataclasses.replace(clean, witness=(Op.Jplus, Op.Rminus))
+    with pytest.raises(ValueError, match="closure"):
+        oa.killing_casimir(broken, (2, 2))
 
 
 def test_unknown_defect_rejected():

@@ -77,8 +77,10 @@ def test_every_default_check_counts_its_cases_and_names_no_witness():
     report = verify.run_suites(list(verify.SUITE_NAMES))
     assert report["all_pass"] is True
     checks = [check for suite in report["suites"].values() for check in suite.values()]
-    assert len(checks) == 38
+    assert len(checks) == 39
     assert all(check["cases"] >= 1 and "witness" not in check for check in checks)
     assert report["suites"]["algebra"]["boson-commutators"]["cases"] == 1014
+    assert report["suites"]["algebra"]["composite-definitions"]["cases"] == 676
+    assert report["suites"]["so32"]["commutator-closure"]["cases"] == 45
     assert report["suites"]["quadrature"]["rule-exactness"]["cases"] == 214
     assert report["suites"]["plane"]["radial-equation"]["cases"] == 196
