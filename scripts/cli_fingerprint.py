@@ -10,12 +10,16 @@ quadrature rule (order 200), evaluation at x = 0 and a table of a
 negative-parameter carrier, and the benchmark's
 plane round trip: a jmax-8 mode file to a 96 x 64 field, with and without
 ``--apply J3``, decomposed again, one field with a misplaced sample,
-``--apply Jplus`` on a single mode at large j (999,983), and a mode whose
-power is beyond the float range (exit 2).
+``--apply Jplus`` on a single mode at large j (999,983, and
+9,007,199,254,740,880 just under the 2**53 label bound, where j + 1 is
+prime), and a mode whose power is beyond the float range (exit 2).
 Run it on two checkouts and diff the outputs to confirm that a change
 leaves every command's output byte-identical:
 
     python scripts/cli_fingerprint.py
+
+``lines()`` yields the same lines to a caller; tests/test_fingerprint.py
+compares those that do not depend on the CPU with tests/cli_fingerprint.txt.
 """
 
 import contextlib
@@ -24,6 +28,7 @@ import io
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -60,10 +65,12 @@ def _misplace_one_sample(field_text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def main() -> None:
+def lines() -> Iterator[str]:
+    """One line per call: exit code, stdout and stderr hashes, the call."""
     with tempfile.TemporaryDirectory() as tmp:
         modes, modes8 = Path(tmp) / "modes.csv", Path(tmp) / "modes8.csv"
         large_j, large_amp = Path(tmp) / "large-j.csv", Path(tmp) / "large-amplitude.csv"
+        largest_j = Path(tmp) / "largest-j.csv"
         field, field96, field96_j3, misplaced = (
             Path(tmp) / name
             for name in ("field.csv", "field96.csv", "field96-j3.csv", "misplaced.csv")
@@ -71,6 +78,7 @@ def main() -> None:
         modes.write_text(_mode_file_text(), encoding="utf-8")
         modes8.write_text(_mode_file_text(8), encoding="utf-8")
         large_j.write_text("j,m,re,im\n999983,0,1.0,0.0\n", encoding="utf-8")
+        largest_j.write_text("j,m,re,im\n9007199254740880,0,1.0,0.0\n", encoding="utf-8")
         large_amp.write_text("j,m,re,im\n1,0,1e200,0\n", encoding="utf-8")
         # decompose reads the output of these three
         to_field = ["modes", "--input", str(modes), "--to-field"]
@@ -108,6 +116,7 @@ def main() -> None:
             ["decompose", "--input", str(field96_j3), "--jmax", "8"],
             ["decompose", "--input", str(misplaced), "--jmax", "8"],
             ["modes", "--input", str(large_j), "--apply", "Jplus"],
+            ["modes", "--input", str(largest_j), "--apply", "Jplus"],  # j + 1 prime
             ["modes", "--input", str(large_amp)],  # |1e200|**2 overflows: exit 2
         ]
         for argv in calls:
@@ -120,7 +129,12 @@ def main() -> None:
             if argv is to_field96_j3:
                 field96_j3.write_text(stdout, encoding="utf-8")
             shown = " ".join(a.replace(tmp, "TMP") for a in argv)
-            print(f"{code} {_sha(stdout)} {_sha(stderr)} {shown}")
+            yield f"{code} {_sha(stdout)} {_sha(stderr)} {shown}"
+
+
+def main() -> None:
+    for line in lines():
+        print(line)
 
 
 if __name__ == "__main__":

@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--angular", type=int, default=64)
     p_verify.add_argument(
         "--defect",
-        choices=("jplus-sign",),
+        choices=opalgebra.DEFECTS,
         help="inject a known-bad matrix element (self-test of the suites)",
     )
 

@@ -114,7 +114,7 @@ SL2_TRIPLES: dict[str, tuple[OperatorName, OperatorName, OperatorName, int, int]
 # Test fixture: a deliberately wrong matrix element, used to prove the
 # verification suites actually detect broken algebra.  "jplus-sign" flips
 # the sign of the single J+ element out of the state (1, 2).
-_VALID_DEFECTS = ("jplus-sign",)
+DEFECTS = ("jplus-sign",)
 _injected_defect: str | None = None
 
 
@@ -122,8 +122,8 @@ _injected_defect: str | None = None
 def injected_defect(name: str | None):
     """Run the block with the named defect (None: none) in every label action."""
     global _injected_defect
-    if name is not None and name not in _VALID_DEFECTS:
-        raise ValueError(f"unknown defect {name!r}; valid: {_VALID_DEFECTS}")
+    if name is not None and name not in DEFECTS:
+        raise ValueError(f"unknown defect {name!r}; valid: {DEFECTS}")
     previous, _injected_defect = _injected_defect, name
     try:
         yield
@@ -459,31 +459,31 @@ class StructureConstants:
     """Expansion of every commutator over the ten closing generators.
 
     ``table[a][b][c]`` is the exact coefficient of generator c in
-    [X_a, X_b].  ``closure_residual`` is the largest coefficient a
-    commutator's polynomial leaves over after its expansion, ``witness``
-    the first pair that does not close (None if all do), and ``cases`` the
-    number of pairs.
+    [X_a, X_b].  ``leftover[a, b]``, for each pair a < b, is the largest
+    coefficient that the polynomial of [X_a, X_b] leaves over after its
+    expansion: zero when the bracket closes on the generators.
     """
 
     generators: tuple[OperatorName, ...]
     table: list[list[list[Fraction]]]
-    closure_residual: Fraction
-    witness: tuple[OperatorName, OperatorName] | None
-    cases: int
+    leftover: dict[tuple[int, int], Fraction]
 
     @cached_property
     def nonzero(self) -> list[list[list[tuple[int, Fraction]]]]:
         """``nonzero[a][b]`` lists (c, table[a][b][c]) for the nonzero entries."""
         return [[[(c, v) for c, v in enumerate(row) if v] for row in rows] for rows in self.table]
 
+    def closure_gaps(self) -> Iterator[tuple[tuple[OperatorName, ...], Fraction]]:
+        """Each pair (X_a, X_b), a < b, with the largest coefficient its bracket leaves over."""
+        g = self.generators
+        for (a, b), gap in self.leftover.items():
+            yield (g[a], g[b]), gap
+
     def antisymmetry_gaps(self) -> Iterator[tuple[tuple[OperatorName, ...], Fraction]]:
         """Each pair (X_a, X_b) with the largest coefficient of [X_a,X_b] + [X_b,X_a]."""
         t, g = self.table, self.generators
         for a, b in product(range(len(g)), repeat=2):
             yield (g[a], g[b]), max(abs(t[a][b][c] + t[b][a][c]) for c in range(len(g)))
-
-    def antisymmetry_residual(self) -> Fraction:
-        return max(gap for _, gap in self.antisymmetry_gaps())
 
     def jacobi_gaps(self) -> Iterator[tuple[tuple[OperatorName, ...], Fraction]]:
         """Each triple (X_a, X_b, X_c) with the largest coefficient of [X_a,[X_b,X_c]] + cyclic."""
@@ -495,9 +495,6 @@ class StructureConstants:
                     for e, w in nz[x][d]:
                         acc[e] = acc.get(e, 0) + v * w
             yield (gens[a], gens[b], gens[c]), max(map(abs, acc.values()), default=Fraction(0))
-
-    def jacobi_residual(self) -> Fraction:
-        return max(gap for _, gap in self.jacobi_gaps())
 
     @cached_property
     def casimir_metric(self) -> list[list[Fraction]]:
@@ -527,7 +524,7 @@ def derive_structure_constants() -> StructureConstants:
 
     Exact, on their polynomials: each bracket is read off over ten
     independent monomial rows of the generators, inverted once; whatever the
-    expansion leaves over is the closure residual.
+    expansion leaves over is the pair's leftover.
     """
     gens, dim = SO32_GENERATORS, len(SO32_GENERATORS)
     polys = [_BILINEARS[g] for g in gens]
@@ -540,7 +537,7 @@ def derive_structure_constants() -> StructureConstants:
     solve = _inverse([design[k] for k in rows])
 
     table = [[[Fraction(0)] * dim for _ in gens] for _ in gens]
-    worst, witness = Fraction(0), None
+    leftover: dict[tuple[int, int], Fraction] = {}
     for a, b in combinations(range(dim), 2):
         f, g = polys[a], polys[b]
         bracket = combine([(1, _product(f, g)), (-1, _product(g, f))])
@@ -548,10 +545,8 @@ def derive_structure_constants() -> StructureConstants:
         coeffs = [Fraction(sum(v * c for v, c in zip(row, rhs) if c)) for row in solve]
         table[a][b], table[b][a] = coeffs, [-c for c in coeffs]
         left = combine([(1, bracket), *((-c, poly) for c, poly in zip(coeffs, polys))])
-        worst = max([worst, *map(abs, left.values())])
-        if witness is None and left:
-            witness = (gens[a], gens[b])
-    return StructureConstants(gens, table, worst, witness, dim * (dim - 1) // 2)
+        leftover[a, b] = Fraction(max(map(abs, left.values()), default=0))
+    return StructureConstants(gens, table, leftover)
 
 
 def killing_form(sc: StructureConstants) -> list[list[Fraction]]:
@@ -581,7 +576,7 @@ def killing_casimir(sc: StructureConstants, idx: tuple[int, int]) -> Fraction:
     Casimir.  Raises when the constants carry a closure failure, the Killing
     form is singular, or the state is not an eigenvector.
     """
-    if sc.witness is not None:
+    if any(sc.leftover.values()):
         raise ValueError("structure constants carry a closure failure")
     gens, g = sc.generators, sc.casimir_metric
     parts = [(g[a][b], gens[a], gens[b]) for b in range(len(gens)) for a in range(len(gens))]

@@ -214,25 +214,17 @@ def gram_2d(jmax: int, grid: PolarGrid) -> np.ndarray:
     Entry (a, b) is the discretized plane inner product of modes a and b,
     conjugate on the first: the radial rule's sum of their carriers (the
     exp(-x/2) factors pair into the rule's exp(-x) weight, so it is the
-    exact polynomial integral) times the exact angular average of
-    exp(i (m_b - m_a) phi).
+    exact polynomial integral) times the angular average of
+    exp(i (m_b - m_a) phi), which is exactly 1 for equal m and 0 otherwise
+    (|m_b - m_a| <= 2 jmax is below the angular node count).
     """
     grid.require_support(jmax)
     modes = modes_up_to(jmax)
-    q = grid.angular_count
     values = np.vstack(radial_samples(modes, grid))
     w = np.array(grid.radial_weights)
     radial = (values * w) @ values.T
-    phis = np.array(grid.angular_nodes)
-    span = 2 * jmax
-    angular = {
-        d: complex(np.sum(np.exp(1j * d * phis)) / q) for d in range(-span, span + 1)
-    }
-    gram = np.empty((len(modes), len(modes)), dtype=complex)
-    for a, ia in enumerate(modes):
-        for b, ib in enumerate(modes):
-            gram[a, b] = angular[ib.m - ia.m] * radial[a, b]
-    return gram
+    ms = np.array([idx.m for idx in modes])
+    return np.where(ms[:, None] == ms, radial, 0.0).astype(complex)
 
 
 def decompose(fld: Field2D, jmax: int) -> ModeCoefficients:

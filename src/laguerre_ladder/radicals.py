@@ -34,12 +34,18 @@ def float_sqrt(q: Fraction) -> float:
 
 
 def squarefree_split(k: int) -> tuple[int, int]:
-    """Write k = outer**2 * inner with inner squarefree (k > 0)."""
+    """Write k = outer**2 * inner with inner squarefree (k > 0).
+
+    Trial division stops once d**3 exceeds what is left of k: every prime
+    factor of the cofactor is then at least d, so it is 1, a prime, a
+    product of two distinct primes or the square of a prime, which
+    ``isqrt`` tells apart.
+    """
     if k <= 0:
         raise ValueError(f"radicand must be positive (got {k})")
     outer, inner = 1, 1
     d = 2
-    while d * d <= k:
+    while d * d * d <= k:
         if k % d == 0:
             e = 0
             while k % d == 0:
@@ -49,6 +55,9 @@ def squarefree_split(k: int) -> tuple[int, int]:
             if e % 2:
                 inner *= d
         d += 1 if d == 2 else 2
+    root = math.isqrt(k)
+    if root * root == k:
+        return outer * root, inner
     return outer, inner * k
 
 

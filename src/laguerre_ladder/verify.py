@@ -27,18 +27,6 @@ from .radicals import SqrtSum
 SUITE_NAMES = ("exact", "algebra", "quadrature", "plane", "so32")
 
 
-def _record(worst, cases: int, witness: dict | None, tolerance: float | None = None) -> dict:
-    """The report record of a check; without a tolerance it is exact."""
-    record = {
-        "mode": "exact" if tolerance is None else "float",
-        "max_residual": float(worst),
-        "tolerance": 0.0 if tolerance is None else tolerance,
-        "pass": cases > 0 and witness is None,
-        "cases": cases,
-    }
-    return record if witness is None else {**record, "witness": witness}
-
-
 def _check(cases: Iterable[tuple[Any, Callable]], tolerance: float | None = None) -> dict:
     """Fold (residual, where) cases into one check record.
 
@@ -48,14 +36,21 @@ def _check(cases: Iterable[tuple[Any, Callable]], tolerance: float | None = None
     calls it, before the next case is drawn (so it may read the loop
     variables of the generator that made it), and the result is the witness.
     """
-    limit = 0 if tolerance is None else tolerance
+    limit = 0.0 if tolerance is None else tolerance
     worst, count, witness = 0, 0, None
     for residual, where in cases:
         count += 1
         worst = max(worst, residual)
         if witness is None and not residual <= limit:
             witness = where()
-    return _record(worst, count, witness, tolerance)
+    record = {
+        "mode": "exact" if tolerance is None else "float",
+        "max_residual": float(worst),
+        "tolerance": limit,
+        "pass": count > 0 and witness is None,
+        "cases": count,
+    }
+    return record if witness is None else {**record, "witness": witness}
 
 
 def _pair(op_a: Op, op_b: Op) -> str:
@@ -394,9 +389,10 @@ def suite_plane(jmax: int = 6, radial_order: int = 64, angular: int = 64) -> dic
 
 def suite_so32() -> dict:
     sc = opalgebra.derive_structure_constants()
-    witness = sc.witness and {"pair": _pair(*sc.witness)}
     checks = {
-        "commutator-closure": _record(sc.closure_residual, sc.cases, witness),
+        "commutator-closure": _check(
+            (gap, lambda: {"pair": _pair(*pair)}) for pair, gap in sc.closure_gaps()
+        ),
         "antisymmetry": _check(
             (gap, lambda: {"pair": _pair(*pair)}) for pair, gap in sc.antisymmetry_gaps()
         ),
@@ -405,6 +401,7 @@ def suite_so32() -> dict:
             for triple, gap in sc.jacobi_gaps()
         ),
     }
+    witness = checks["commutator-closure"].get("witness")
     if witness:
         # Downstream quantities are meaningless on a broken algebra.
         reason = f"closure failed at {witness['pair']}"

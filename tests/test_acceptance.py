@@ -178,20 +178,19 @@ def test_criterion_8_so32_closure_and_killing_casimir():
         broken = opalgebra.derive_structure_constants()
         broken_value = opalgebra.killing_casimir(broken, (1, 2))
     ok = (
-        sc.witness is None
-        and sc.closure_residual == 0
-        and sc.antisymmetry_residual() == 0
-        and sc.jacobi_residual() == 0
+        len(sc.leftover) == 45
+        and not any(sc.leftover.values())
+        and all(gap == 0 for _, gap in sc.antisymmetry_gaps())
+        and all(gap == 0 for _, gap in sc.jacobi_gaps())
         and entries == {0, 1, -1, 2, -2, 4, -4}
         and killing == {-24, -12, 0, 6, 12}
         and set(values.values()) == {Fraction(-5, 4)}
-        and broken.witness is None
-        and broken.closure_residual == 0
+        and not any(broken.leftover.values())
         and broken_value != Fraction(-5, 4)
     )
     _report(
         8,
-        f"so(3,2) closure (exact, {sc.cases} polynomial pairs, casimir "
+        f"so(3,2) closure (exact, {len(sc.leftover)} polynomial pairs, casimir "
         f"{values[0, 0]} vs -5/4 on {len(values)} states)",
         ok,
         started,

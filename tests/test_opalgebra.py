@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -579,17 +580,18 @@ def test_structure_constants_use_no_label_action(monkeypatch):
     monkeypatch.setattr(oa, "_image", no_label_action)
     monkeypatch.setattr(oa, "apply_exact", no_label_action)
     sc = oa.derive_structure_constants()
-    assert sc.witness is None and sc.cases == 45
+    assert len(sc.leftover) == 45 and not any(sc.leftover.values())
 
 
 def test_closure_names_the_first_pair_that_leaves_the_span(monkeypatch):
     # With R+ = a+**3, [J+, K+] = a+**2 is the first bracket out of the span.
     monkeypatch.setitem(oa._BILINEARS, Op.Rplus, {(3, 0, 0, 0): 1})
-    sc = oa.derive_structure_constants()
-    assert sc.witness == (Op.Jplus, Op.Kplus)
+    gaps = list(oa.derive_structure_constants().closure_gaps())
+    assert next(pair for pair, gap in gaps if gap) == (Op.Jplus, Op.Kplus)
     # The largest leftover: [R+, R-] = -6 a+**2 a- - 6 a+.
-    assert sc.closure_residual == 6
-    assert sc.cases == 45
+    assert max(gap for _, gap in gaps) == 6
+    assert dict(gaps)[Op.Rplus, Op.Rminus] == 6
+    assert len(gaps) == 45
 
 
 # -- structure constants and the Killing form -----------------------------------------
@@ -601,14 +603,14 @@ def constants():
 
 
 def test_closure_residual(constants):
-    assert constants.closure_residual == 0
-    assert constants.witness is None
-    assert constants.cases == 45
+    gaps = list(constants.closure_gaps())
+    assert [pair for pair, _ in gaps] == list(itertools.combinations(constants.generators, 2))
+    assert all(gap == 0 for _, gap in gaps)
 
 
 def test_antisymmetry_and_jacobi(constants):
-    assert constants.antisymmetry_residual() == 0
-    assert constants.jacobi_residual() == 0
+    assert all(gap == 0 for _, gap in constants.antisymmetry_gaps())
+    assert all(gap == 0 for _, gap in constants.jacobi_gaps())
 
 
 def _row(constants, op_a, op_b):
@@ -685,12 +687,11 @@ def test_injected_defect_breaks_closure_detection():
     clean = oa.derive_structure_constants()
     with oa.injected_defect("jplus-sign"):
         sc = oa.derive_structure_constants()
-        assert sc.witness is None
-        assert sc.closure_residual == 0
+        assert sc.leftover == clean.leftover and not any(sc.leftover.values())
         assert sc.table == clean.table
         assert oa.killing_casimir(sc, (2, 2)) == Fraction(-5, 4)
         assert oa.killing_casimir(sc, (1, 2)) != Fraction(-5, 4)
-    broken = dataclasses.replace(clean, witness=(Op.Jplus, Op.Rminus))
+    broken = dataclasses.replace(clean, leftover={**clean.leftover, (0, 7): Fraction(1)})
     with pytest.raises(ValueError, match="closure"):
         oa.killing_casimir(broken, (2, 2))
 
