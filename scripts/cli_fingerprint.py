@@ -88,6 +88,9 @@ def lines() -> Iterator[str]:
         calls = [
             ["verify", "--suite", "all"],
             ["verify", "--suite", "all", "--defect", "jplus-sign"],
+            # Every algebra check is exact: no BLAS sum reaches these reports.
+            ["verify", "--suite", "algebra"],
+            ["verify", "--suite", "algebra", "--defect", "jplus-sign"],
             ["verify", "--suite", "algebra", "--nmax", "4", "--defect", "jplus-sign"],
             ["verify", "--suite", "so32", "--defect", "jplus-sign"],
             ["verify", "--suite", "exact", "--nmax", "0", "--alpha-max", "0"],

@@ -151,7 +151,7 @@ class LaurentPoly:
             acc = acc * x + self._coeffs.get(k, 0)
         return acc * x**lo / self._den
 
-    def _ratio_at(self, x: float) -> tuple[int, int]:
+    def ratio_at(self, x: float) -> tuple[int, int]:
         """Exact value at x as (numerator, positive denominator).
 
         A float is a dyadic rational m / 2**e, so over the dense integer
@@ -192,10 +192,6 @@ class LaurentPoly:
             num <<= -scale
         return (-num, -den) if den < 0 else (num, den)
 
-    def exact_at(self, x: float) -> Fraction:
-        """Exact rational value at a float point."""
-        return Fraction(*self._ratio_at(x))
-
     def eval_float(self, x: float) -> float:
         """Evaluate at a float point.
 
@@ -204,7 +200,7 @@ class LaurentPoly:
         cancellation error even for high-degree oscillatory cores and the
         result is ``float(self.eval_exact(Fraction(x)))`` to the last bit.
         """
-        num, den = self._ratio_at(x)
+        num, den = self.ratio_at(x)
         return num / den
 
     # -- rendering -----------------------------------------------------------

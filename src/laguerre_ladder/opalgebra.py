@@ -154,7 +154,9 @@ def _image(op: OperatorName, n: int, p: int, defect: str | None) -> ExactVector:
         out[target] = out.get(target, 0) + coeff * perm(n, j) * perm(p, l)
     if op is OperatorName.Jplus and defect == "jplus-sign" and (n, p) == (1, 2):
         out = {t: -elem for t, elem in out.items()}
-    return {t: elem for t, elem in out.items() if elem}
+    # Integral elements as int, so that products of them stay integer
+    # arithmetic; only half-integers are Fraction.
+    return {t: e.numerator if e.denominator == 1 else e for t, e in out.items() if e}
 
 
 def combine(terms: Iterable[tuple[int | Fraction, Mapping]]) -> dict:
@@ -169,10 +171,19 @@ def combine(terms: Iterable[tuple[int | Fraction, Mapping]]) -> dict:
 
 
 def apply_exact(op: OperatorName, vec: Mapping[BasisIndex, int | Fraction]) -> ExactVector:
-    """Exact label action on a vector over the unnormalised states."""
+    """Exact label action on a vector over the unnormalised states.
+
+    Always a new dict: the cached images are read, never handed out.
+    """
+    if len(vec) == 1:
+        # One state, the common case: its image scaled, nothing to sum.
+        [((n, p), coeff)] = vec.items()
+        if not coeff:
+            return {}
+        return {t: coeff * elem for t, elem in _image(op, n, p, _injected_defect).items()}
     out: ExactVector = {}
     for (n, p), coeff in vec.items():
-        for target, elem in _terms(op, n, p).items():
+        for target, elem in _image(op, n, p, _injected_defect).items():
             out[target] = out.get(target, 0) + coeff * elem
     return {k: v for k, v in out.items() if v}
 
@@ -497,10 +508,19 @@ class StructureConstants:
             yield (gens[a], gens[b], gens[c]), max(map(abs, acc.values()), default=Fraction(0))
 
     @cached_property
+    def killing_form(self) -> tuple[tuple[Fraction, ...], ...]:
+        """B_ab = sum_cd f_ac^d f_bd^c, built once and shared, so read-only."""
+        t, r = self.table, range(len(self.generators))
+        return tuple(
+            tuple(sum(v * t[b][d][c] for c in r for d, v in self.nonzero[a][c]) for b in r)
+            for a in r
+        )
+
+    @cached_property
     def casimir_metric(self) -> list[list[Fraction]]:
         """g^{ab}: the inverse Killing form, scaled so that its su(2) block
         gives the spin Casimir j(j+1)."""
-        B = killing_form(self)
+        B = self.killing_form
         i3 = self.generators.index(OperatorName.J3)
         if not B[i3][i3]:
             raise RuntimeError("degenerate su(2) block in the Killing form")
@@ -549,10 +569,9 @@ def derive_structure_constants() -> StructureConstants:
     return StructureConstants(gens, table, leftover)
 
 
-def killing_form(sc: StructureConstants) -> list[list[Fraction]]:
-    """B_ab = sum_cd f_ac^d f_bd^c from the derived constants."""
-    t, r = sc.table, range(len(sc.generators))
-    return [[sum(v * t[b][d][c] for c in r for d, v in sc.nonzero[a][c]) for b in r] for a in r]
+def killing_form(sc: StructureConstants) -> tuple[tuple[Fraction, ...], ...]:
+    """B_ab = sum_cd f_ac^d f_bd^c from the derived constants, computed once per ``sc``."""
+    return sc.killing_form
 
 
 def su2_block_scale(sc: StructureConstants) -> tuple[Fraction, Fraction]:
@@ -561,7 +580,7 @@ def su2_block_scale(sc: StructureConstants) -> tuple[Fraction, Fraction]:
     Returns (scale, residual): the block should equal scale times the
     standard su(2) Killing form (diagonal entry 2, off-diagonal pairing 4).
     """
-    B = killing_form(sc)
+    B = sc.killing_form
     i3, ip, im = map(sc.generators.index, SL2_TRIPLES["Csu2"][:3])
     scale = Fraction(B[i3][i3], 2)
     reference = {(i3, i3): 2, (ip, im): 4, (im, ip): 4}

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -75,28 +74,34 @@ def gauss_laguerre(order: int) -> QuadratureRule:
     jacobi.flat[1 :: order + 1] = jacobi.flat[order :: order + 1] = -k[1:]
     nodes: list[float] = []
     for i, z in enumerate(np.linalg.eigvalsh(jacobi).tolist()):
-        # Newton on the exact coefficients until |dz| < 1e-15 * z; quadratic
-        # convergence makes the rounded result the true root to the last
-        # bit, which the weight formula then inherits.
+        # Newton on the exact coefficients until |dz| <= 1e-15 * z, in
+        # integers: with z = m/d, p(z) = a/b and p'(z) = c/e (b, e > 0),
+        # z - dz = (m b c - d a e) / (d b c), rounded once by int true
+        # division as float(Fraction) would.  Quadratic convergence makes
+        # the rounded result the true root to the last bit.
         for _ in range(4):
-            dz_exact = poly.exact_at(z) / slope.exact_at(z)
-            done = abs(dz_exact) <= Fraction(z) * Fraction(1, 10**15)
-            z = float(Fraction(z) - dz_exact)
+            m, d = z.as_integer_ratio()
+            a, b = poly.ratio_at(z)
+            c, e = slope.ratio_at(z)
+            done = abs(a * e) * d * 10**15 <= m * abs(b * c)
+            z = (m * b * c - d * a * e) / (d * b * c)
             if done:
                 break
         else:
             raise RuntimeError(f"exact refinement failed to converge at node {i}")
         nodes.append(z)
 
-    # Weights by the standard formula, assembled in exact rational arithmetic
-    # so the conversion to float is the only rounding.  True weights at the
-    # far nodes of very large rules sit below the double floor; those are
-    # clamped to the smallest positive float (error <= 5e-324).
+    # Weights by the standard formula z / ((n+1) L_{n+1}(z))**2, evaluated
+    # exactly at the rounded node and rounded once: the formula's value
+    # there, not the true weight, which also moves with the node's rounding.
+    # True weights at the far nodes of very large rules sit below the double
+    # floor; those are clamped to the smallest positive float (error <= 5e-324).
     weights: list[float] = []
     above = laguerre(order + 1, 0)
     for z in nodes:
-        denom = (order + 1) * above.exact_at(z)
-        weights.append(max(float(Fraction(z) / (denom * denom)), _SMALLEST_POSITIVE))
+        m, d = z.as_integer_ratio()
+        a, b = above.ratio_at(z)
+        weights.append(max(m * b * b / (d * ((order + 1) * a) ** 2), _SMALLEST_POSITIVE))
     return QuadratureRule(nodes=tuple(nodes), weights=tuple(weights))
 
 

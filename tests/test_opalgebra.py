@@ -199,6 +199,46 @@ def test_returned_vectors_do_not_alias_the_memo():
         oa._terms(Op.Rplus, 1, 2)[BasisIndex(9, 9)] = 5
 
 
+def test_single_state_with_zero_coefficient_has_empty_image():
+    for zero in (0, Fraction(0)):
+        assert oa.apply_exact(Op.X, {BasisIndex(2, 2): zero}) == {}
+        assert oa.apply_exact(Op.J3, {BasisIndex(2, 1): zero}) == {}
+
+
+def test_single_state_image_is_a_fresh_dict():
+    for op, state in ((Op.J3, (3, 1)), (Op.X, (2, 2)), (Op.Kminus, (1, 1))):
+        first = oa.apply_exact(op, oa.exact_state(*state))
+        expected = dict(first)
+        first.clear()
+        first[BasisIndex(9, 9)] = 5
+        assert oa.apply_exact(op, oa.exact_state(*state)) == expected, op
+
+
+def test_integral_elements_are_ints_and_half_integers_fractions():
+    def element(op, n, p):
+        [value] = oa.apply_exact(op, oa.exact_state(n, p)).values()
+        return value
+
+    assert type(element(Op.J3, 3, 1)) is int and element(Op.J3, 3, 1) == 1
+    assert type(element(Op.K3, 1, 2)) is int and element(Op.K3, 1, 2) == 2
+    assert type(element(Op.J3, 2, 1)) is Fraction and element(Op.J3, 2, 1) == Fraction(1, 2)
+    assert type(element(Op.R3, 0, 5)) is Fraction and element(Op.R3, 0, 5) == Fraction(1, 2)
+
+
+def test_multi_state_vectors_sum_their_images_exactly():
+    # X sends (0, 0) and (2, 2) both onto (1, 1), with -1 and -4: these cancel.
+    vec = {BasisIndex(0, 0): 4, BasisIndex(2, 2): -1}
+    assert oa.apply_exact(Op.X, vec) == {
+        BasisIndex(0, 0): 4, BasisIndex(2, 2): -5, BasisIndex(3, 3): 1,
+    }
+    vec = {BasisIndex(1, 2): 1, BasisIndex(2, 1): Fraction(1, 2), BasisIndex(0, 3): -3}
+    for op in Op:
+        if op is Op.Dx:
+            continue
+        parts = [(c, oa.apply_exact(op, {s: 1})) for s, c in vec.items()]
+        assert oa.apply_exact(op, vec) == oa.combine(parts), op
+
+
 # The single-step generators and the shift each one makes on (n, p).
 _SINGLE_STEPS = {
     Op.Aplus: (1, 0),
