@@ -175,12 +175,6 @@ def apply_exact(op: OperatorName, vec: Mapping[BasisIndex, int | Fraction]) -> E
 
     Always a new dict: the cached images are read, never handed out.
     """
-    if len(vec) == 1:
-        # One state, the common case: its image scaled, nothing to sum.
-        [((n, p), coeff)] = vec.items()
-        if not coeff:
-            return {}
-        return {t: coeff * elem for t, elem in _image(op, n, p, _injected_defect).items()}
     out: ExactVector = {}
     for (n, p), coeff in vec.items():
         for target, elem in _image(op, n, p, _injected_defect).items():

@@ -59,10 +59,7 @@ def _pair(op_a: Op, op_b: Op) -> str:
 
 def _vec_residual(state: BasisIndex, diff: Mapping) -> float:
     """Largest normalised coefficient of diff, a combination of images of one state."""
-    if not diff:
-        return 0.0
-    normalised = opalgebra.normalised(state, diff)
-    return max(abs(float(v)) for v in normalised.values())
+    return max((abs(float(v)) for v in opalgebra.normalised(state, diff).values()), default=0.0)
 
 
 def _off_identity(matrix: np.ndarray) -> list[float]:
