@@ -10,6 +10,7 @@ quadrature rule (order 200), evaluation at x = 0 and a table of a
 negative-parameter carrier, and the benchmark's
 plane round trip: a jmax-8 mode file to a 96 x 64 field, with and without
 ``--apply J3``, decomposed again, one field with a misplaced sample,
+one with a short row and one with a cell that is not a number,
 ``--apply Jplus`` on a single mode at large j (999,983, and
 9,007,199,254,740,880 just under the 2**53 label bound, where j + 1 is
 prime), and a mode whose power is beyond the float range (exit 2).
@@ -57,12 +58,26 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _with_row(field_text: str, index: int, edit) -> str:
+    """The field with line `index` (0 is the header) cut into cells and rejoined by edit."""
+    lines = field_text.splitlines()
+    lines[index] = ",".join(edit(*lines[index].split(",")))
+    return "\n".join(lines) + "\n"
+
+
 def _misplace_one_sample(field_text: str) -> str:
     """The field with one angular coordinate moved off its node."""
-    lines = field_text.splitlines()
-    r, phi, re, im = lines[10].split(",")
-    lines[10] = ",".join((r, "0.125", re, im))
-    return "\n".join(lines) + "\n"
+    return _with_row(field_text, 10, lambda r, phi, re, im: (r, "0.125", re, im))
+
+
+def _short_row(field_text: str) -> str:
+    """The field with one row missing its last cell."""
+    return _with_row(field_text, 10, lambda r, phi, re, im: (r, phi, re))
+
+
+def _bad_cell(field_text: str) -> str:
+    """The field with one cell, in a later row, that is not a number."""
+    return _with_row(field_text, 4000, lambda r, phi, re, im: (r, phi, "not-a-number", im))
 
 
 def lines() -> Iterator[str]:
@@ -71,9 +86,10 @@ def lines() -> Iterator[str]:
         modes, modes8 = Path(tmp) / "modes.csv", Path(tmp) / "modes8.csv"
         large_j, large_amp = Path(tmp) / "large-j.csv", Path(tmp) / "large-amplitude.csv"
         largest_j = Path(tmp) / "largest-j.csv"
-        field, field96, field96_j3, misplaced = (
+        field, field96, field96_j3, misplaced, short_row, bad_cell = (
             Path(tmp) / name
-            for name in ("field.csv", "field96.csv", "field96-j3.csv", "misplaced.csv")
+            for name in ("field.csv", "field96.csv", "field96-j3.csv", "misplaced.csv",
+                         "short-row.csv", "bad-cell.csv")
         )
         modes.write_text(_mode_file_text(), encoding="utf-8")
         modes8.write_text(_mode_file_text(8), encoding="utf-8")
@@ -118,6 +134,9 @@ def lines() -> Iterator[str]:
             ["decompose", "--input", str(field96), "--jmax", "8"],
             ["decompose", "--input", str(field96_j3), "--jmax", "8"],
             ["decompose", "--input", str(misplaced), "--jmax", "8"],
+            # The reader's error paths: each exits 2 naming the first bad line.
+            ["decompose", "--input", str(short_row), "--jmax", "8"],
+            ["decompose", "--input", str(bad_cell), "--jmax", "8"],
             ["modes", "--input", str(large_j), "--apply", "Jplus"],
             ["modes", "--input", str(largest_j), "--apply", "Jplus"],  # j + 1 prime
             ["modes", "--input", str(large_amp)],  # |1e200|**2 overflows: exit 2
@@ -129,6 +148,8 @@ def lines() -> Iterator[str]:
             if argv is to_field96:
                 field96.write_text(stdout, encoding="utf-8")
                 misplaced.write_text(_misplace_one_sample(stdout), encoding="utf-8")
+                short_row.write_text(_short_row(stdout), encoding="utf-8")
+                bad_cell.write_text(_bad_cell(stdout), encoding="utf-8")
             if argv is to_field96_j3:
                 field96_j3.write_text(stdout, encoding="utf-8")
             shown = " ".join(a.replace(tmp, "TMP") for a in argv)

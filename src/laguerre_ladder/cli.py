@@ -20,7 +20,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import repeat
 
 import numpy as np
 
@@ -218,25 +218,44 @@ def _read_lines(path: str) -> list[str]:
         return handle.read().splitlines()
 
 
+# Rows the reader converts at once: a block's cells are held as text, so the
+# block size, not the file's, bounds the reader's memory beyond the table.
+_BLOCK_ROWS = 256
+
+
 def _parse_csv(lines: list[str], header: list[str], min_fields: int) -> np.ndarray:
     """The sample rows as a (rows, min_fields) float table.
 
-    Blank lines are skipped and cells past min_fields ignored.  All cells
-    are converted in one pass; only a file that fails is read again line by
-    line, which names its first bad line.
+    Blank lines are skipped and cells past min_fields ignored.  When every
+    row has exactly min_fields cells, each block of rows is split into cells
+    at once and converted column by column; the first two columns (the grid
+    coordinates r, phi or the mode labels j, m) repeat, so each distinct
+    text of theirs is converted once.  Any other file, and a file that
+    fails, is read again line by line, which names its first bad line.
     """
     if not lines:
         raise ValueError("line 1: empty input, expected a header row")
     got = [c.strip() for c in lines[0].split(",")]
     if got[: len(header)] != header:
         raise ValueError(f"line 1: expected header {','.join(header)!r}, got {lines[0]!r}")
-    body = [line for line in lines[1:] if line.strip()]
-    cells = chain.from_iterable(line.split(",")[:min_fields] for line in body)
+    body = list(filter(str.strip, lines[1:]))
+    table = np.empty((len(body), min_fields))
+    known: dict[str, float] = {}
     try:
-        # Streamed straight into the array: no list of cells is ever held.
-        table = np.fromiter(map(float, cells), float, count=len(body) * min_fields)
-        table = table.reshape(len(body), min_fields)
-    except ValueError:  # a short row or a cell that is not a number
+        for start in range(0, len(body), _BLOCK_ROWS):
+            block = body[start : start + _BLOCK_ROWS]
+            if set(map(str.count, block, repeat(","))) != {min_fields - 1}:
+                raise ValueError("a row without exactly min_fields cells")
+            cells = ",".join(block).split(",")
+            rows = table[start : start + len(block)]
+            for k in range(min_fields):
+                column = cells[k::min_fields]
+                if k < 2:
+                    known.update((text, float(text)) for text in set(column).difference(known))
+                    rows[:, k] = list(map(known.__getitem__, column))
+                else:
+                    rows[:, k] = list(map(float, column))
+    except ValueError:  # a short or long row, or a cell that is not a number
         table = None
     if table is None or not np.isfinite(table).all():
         table = np.array(_checked_rows(lines, min_fields)).reshape(-1, min_fields)
@@ -380,17 +399,17 @@ def cmd_modes(args) -> int:
         grid = PolarGrid.build(args.radial_order, args.angular)
         grid.require_support(coeffs.jmax)
         field = plane.reconstruct(coeffs, grid)
-        # Each node coordinate is formatted once; one write per radial row
-        # keeps peak memory at a row's text, not the whole file's.
-        phis = [_fmt(phi) for phi in grid.angular_nodes]
+        # One template per file, each formatted angle baked in: joining it
+        # with a row's formatted r puts r before every sample, and one %
+        # formats the row's re, im pairs (as _fmt does: + 0.0 folds negative
+        # zero of each part).  One write per radial row keeps peak memory at
+        # a row's text, not the whole file's.
+        template = ["", *(f",{_fmt(phi)},%.17g,%.17g\n" for phi in grid.angular_nodes)]
+        pairs = np.stack((field.values.real, field.values.imag), axis=-1) + 0.0
         out = sys.stdout
         out.write("r,phi,re,im\n")
-        for r, row in zip(grid.radial_nodes, field.values):
-            r = _fmt(r)
-            out.write("".join(
-                f"{r},{phi},{_fmt(a)},{_fmt(b)}\n"
-                for phi, a, b in zip(phis, row.real.tolist(), row.imag.tolist())
-            ))
+        for r, row in zip(grid.radial_nodes, pairs):
+            out.write(_fmt(r).join(template) % tuple(row.ravel().tolist()))
         return 0
     print("\n".join(["j,m,re,im,power", *_mode_rows(coeffs)]))
     return 0

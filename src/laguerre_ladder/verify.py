@@ -36,7 +36,9 @@ def _check(cases: Iterable[tuple[Any, Callable]], tolerance: float | None = None
     calls it, before the next case is drawn (so it may read the loop
     variables of the generator that made it), and the result is the witness.
     """
-    limit = 0.0 if tolerance is None else tolerance
+    # An exact residual (often a Fraction) is compared with the int 0, which
+    # a Fraction compares without converting a float.
+    limit = 0 if tolerance is None else tolerance
     worst, count, witness = 0, 0, None
     for residual, where in cases:
         count += 1
@@ -46,7 +48,7 @@ def _check(cases: Iterable[tuple[Any, Callable]], tolerance: float | None = None
     record = {
         "mode": "exact" if tolerance is None else "float",
         "max_residual": float(worst),
-        "tolerance": limit,
+        "tolerance": 0.0 if tolerance is None else tolerance,
         "pass": count > 0 and witness is None,
         "cases": count,
     }

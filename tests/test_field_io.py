@@ -84,19 +84,43 @@ def _hex(values):
 
 @pytest.mark.parametrize("apply", [None, "J3"])
 def test_to_field_matches_reference_writer(tmp_path, capsys, apply):
-    path = _mode_file(tmp_path)
-    argv = ["modes", "--input", str(path), "--to-field", "--radial-order", "96", "--angular", "64"]
-    if apply:
-        argv += ["--apply", apply]
-    code, out, err = run(capsys, *argv)
-    assert (code, err) == (0, "")
+    # An m = 0 mode with a real amplitude has exactly zero imaginary parts.
+    m0_real = tmp_path / "m0-real.csv"
+    m0_real.write_text("j,m,re,im\n0,0,1.5,0\n2,0,-0.75,-0\n")
+    for path in (_mode_file(tmp_path), m0_real):
+        argv = ["modes", "--input", str(path), "--to-field",
+                "--radial-order", "96", "--angular", "64"]
+        if apply:
+            argv += ["--apply", apply]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
 
-    table = cli._parse_csv(path.read_text().splitlines(), ["j", "m", "re", "im"], 4)
-    coeffs = cli._modes_from_rows(table)
-    if apply:
-        coeffs = plane.apply_mode_operator(OperatorName[apply], coeffs)
-    grid = PolarGrid.build(96, 64)
-    assert out == reference_field_text(reference_reconstruct(coeffs, grid), grid)
+        table = cli._parse_csv(path.read_text().splitlines(), ["j", "m", "re", "im"], 4)
+        coeffs = cli._modes_from_rows(table)
+        if apply:
+            coeffs = plane.apply_mode_operator(OperatorName[apply], coeffs)
+        grid = PolarGrid.build(96, 64)
+        values = plane.reconstruct(coeffs, grid).values
+        assert path != m0_real or not values.imag.any()
+        # The text against per-value _fmt of the field reconstructed in
+        # process, which holds whatever numpy's dispatch makes of the sums.
+        assert out == reference_field_text(values, grid)
+        assert _hex(values) == _hex(reference_reconstruct(coeffs, grid))
+
+
+def test_to_field_prints_negative_zero_as_zero(tmp_path, capsys, monkeypatch):
+    grid = PolarGrid.build(3, 4)
+    values = np.full((3, 4), complex(-0.0, -0.0))
+    assert np.signbit(values.real).all() and np.signbit(values.imag).all()
+    monkeypatch.setattr(plane, "reconstruct", lambda coeffs, grid: Field2D(grid=grid, values=values))
+    path = tmp_path / "modes.csv"
+    path.write_text("j,m,re,im\n0,0,1,0\n")
+    code, out, err = run(capsys, "modes", "--input", str(path), "--to-field",
+                         "--radial-order", "3", "--angular", "4")
+    assert (code, err) == (0, "")
+    assert cli._fmt(-0.0) == "0"
+    assert out == reference_field_text(values, grid)
+    assert all(line.endswith(",0,0") for line in out.splitlines()[1:])
 
 
 def test_reconstruct_and_decompose_match_references():
@@ -147,6 +171,23 @@ def test_opposite_m_modes_share_one_radial_sample():
 
 # -- reader ------------------------------------------------------------------------
 
+FIELD_HEADER = ["r", "phi", "re", "im"]
+
+
+def _assert_reads_as_line_by_line(lines, header=FIELD_HEADER):
+    """_parse_csv equals the line-by-line reader bit for bit, or raises its message."""
+    try:
+        want = np.array(cli._checked_rows(lines, 4)).reshape(-1, 4)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            cli._parse_csv(lines, header, 4)
+        assert str(raised.value) == str(exc)
+        return
+    got = cli._parse_csv(lines, header, 4)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    # tobytes compares every bit, the sign of each zero included.
+    assert got.tobytes() == want.tobytes()
+
 
 def _field_lines(tmp_path, capsys, radial=4, angular=4):
     path = tmp_path / "modes.csv"
@@ -164,6 +205,89 @@ def _set_cell(lines, row, column, value):
     cells = lines[row + 1].split(",")
     cells[column] = value
     lines[row + 1] = ",".join(cells)
+
+
+def _big_field_lines(tmp_path, capsys):
+    """A 96 x 64 field (6,144 rows, several reader blocks) with ±0.0 cells."""
+    lines = _field_lines(tmp_path, capsys, 96, 64)
+    lines[5] = lines[5].rsplit(",", 2)[0] + ",-0,0"
+    lines[300] = lines[300].rsplit(",", 2)[0] + ",0,-0.0"
+    return lines
+
+
+def test_reader_matches_line_by_line_on_written_fields(tmp_path, capsys):
+    _assert_reads_as_line_by_line(_big_field_lines(tmp_path, capsys))
+    _assert_reads_as_line_by_line(_field_lines(tmp_path, capsys, 5, 8))
+    modes = _mode_file(tmp_path).read_text().splitlines()
+    _assert_reads_as_line_by_line(modes, ["j", "m", "re", "im"])
+
+
+def test_reader_matches_line_by_line_with_blank_lines(tmp_path, capsys):
+    lines = _big_field_lines(tmp_path, capsys)
+    for k in (1, 200, 256, 257, 258, 4000, len(lines)):
+        lines.insert(k, " " * (k % 3))
+    _assert_reads_as_line_by_line(lines)
+
+
+def test_reader_matches_line_by_line_with_crlf_endings(tmp_path, capsys):
+    text = "\r\n".join(_big_field_lines(tmp_path, capsys)) + "\r\n"
+    _assert_reads_as_line_by_line(text.splitlines())
+    # Split on "\n" alone, every line keeps its "\r".
+    _assert_reads_as_line_by_line(text.split("\n"))
+
+
+def test_reader_matches_line_by_line_with_spaced_cells(tmp_path, capsys):
+    lines = _big_field_lines(tmp_path, capsys)
+    for k in (1, 2, 300, 3000):
+        lines[k] = ",".join(f" {cell}\t" for cell in lines[k].split(","))
+    _assert_reads_as_line_by_line(lines)
+
+
+def test_reader_ignores_extra_cells_as_line_by_line(tmp_path, capsys):
+    lines = _big_field_lines(tmp_path, capsys)
+    lines[700] += ",extra,cells"
+    lines[6000] += ","
+    _assert_reads_as_line_by_line(lines)
+    assert cli._parse_csv(lines, FIELD_HEADER, 4).shape == (6144, 4)
+
+
+@pytest.mark.parametrize("body", [[], [""], ["  ", ""]])
+def test_reader_matches_line_by_line_on_empty_body(body):
+    _assert_reads_as_line_by_line(["r,phi,re,im", *body])
+    assert cli._parse_csv(["r,phi,re,im", *body], FIELD_HEADER, 4).shape == (0, 4)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-nan", "1e999", "not-a-number", ""])
+@pytest.mark.parametrize("row", [3, 1000])
+def test_reader_names_bad_cells_as_line_by_line(tmp_path, capsys, cell, row):
+    lines = _big_field_lines(tmp_path, capsys)
+    _set_cell(lines, row, 2, cell)
+    _assert_reads_as_line_by_line(lines)
+    with pytest.raises(ValueError, match=f"^line {row + 2}: "):
+        cli._parse_csv(lines, FIELD_HEADER, 4)
+
+
+@pytest.mark.parametrize("first, second", [(3, 5), (5, 3)])
+def test_reader_refuses_misaligned_rows_with_the_right_cell_total(first, second):
+    # 3 + 5 cells make two rows' worth, but not one row of each column.
+    cells = ["0.5", "0.25", "1", "0", "7", "8"]
+    rows = [",".join(cells[:first]), ",".join(cells[:second])]
+    lines = ["r,phi,re,im", *rows, "0.5,0.25,1,0"]
+    _assert_reads_as_line_by_line(lines)
+    short = 2 if first == 3 else 3
+    with pytest.raises(ValueError, match=f"^line {short}: expected at least 4 fields$"):
+        cli._parse_csv(lines, FIELD_HEADER, 4)
+
+
+def test_reader_converts_each_distinct_coordinate_once(tmp_path, capsys, monkeypatch):
+    lines = _big_field_lines(tmp_path, capsys)
+    want = cli._parse_csv(lines, FIELD_HEADER, 4)
+    texts = []
+    monkeypatch.setattr(cli, "float", lambda text: texts.append(text) or float(text), raising=False)
+    got = cli._parse_csv(lines, FIELD_HEADER, 4)
+    assert got.tobytes() == want.tobytes()
+    # 96 radii and 64 angles, then one conversion per re and im cell.
+    assert len(texts) == 96 + 64 + 2 * 6144
 
 
 def _decompose_lines(tmp_path, capsys, lines):
