@@ -226,12 +226,14 @@ _BLOCK_ROWS = 256
 def _parse_csv(lines: list[str], header: list[str], min_fields: int) -> np.ndarray:
     """The sample rows as a (rows, min_fields) float table.
 
-    Blank lines are skipped and cells past min_fields ignored.  When every
-    row has exactly min_fields cells, each block of rows is split into cells
-    at once and converted column by column; the first two columns (the grid
-    coordinates r, phi or the mode labels j, m) repeat, so each distinct
-    text of theirs is converted once.  Any other file, and a file that
-    fails, is read again line by line, which names its first bad line.
+    Blank lines are skipped and cells past min_fields ignored.  Each block
+    of rows is split into cells at once and converted column by column: a
+    block whose rows all have the same number of cells is read at that
+    stride, any other is first cut to min_fields cells a row.  The first two
+    columns (the grid coordinates r, phi or the mode labels j, m) repeat, so
+    each distinct text of theirs is converted once.  A file with a short row
+    or a cell that fails is read again line by line, which names its first
+    bad line.
     """
     if not lines:
         raise ValueError("line 1: empty input, expected a header row")
@@ -244,12 +246,17 @@ def _parse_csv(lines: list[str], header: list[str], min_fields: int) -> np.ndarr
     try:
         for start in range(0, len(body), _BLOCK_ROWS):
             block = body[start : start + _BLOCK_ROWS]
-            if set(map(str.count, block, repeat(","))) != {min_fields - 1}:
-                raise ValueError("a row without exactly min_fields cells")
+            commas = set(map(str.count, block, repeat(",")))
+            if min(commas) < min_fields - 1:
+                raise ValueError("a row with fewer than min_fields cells")
+            if len(commas) > 1:
+                block = [",".join(row.split(",", min_fields)[:min_fields]) for row in block]
+                commas = {min_fields - 1}
+            width = commas.pop() + 1
             cells = ",".join(block).split(",")
             rows = table[start : start + len(block)]
             for k in range(min_fields):
-                column = cells[k::min_fields]
+                column = cells[k::width]
                 if k < 2:
                     known.update((text, float(text)) for text in set(column).difference(known))
                     rows[:, k] = list(map(known.__getitem__, column))

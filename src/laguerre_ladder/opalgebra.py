@@ -15,7 +15,9 @@ and second-order equation operators, in two realizations:
 The label action is ground truth; differential forms are checked against
 it.  ``_BILINEARS`` states every generator once, as a normal-ordered
 polynomial in two bosons (Schwinger's method): one monomial rule gives the
-label action, and polynomial products the so(3,2) structure constants.
+label action, and polynomial products (``_product``, ``_bracket``) the
+so(3,2) structure constants, the Casimirs as polynomials in N and P, and
+the ladder relations as identities that hold on every state.
 ``SL2_TRIPLES`` gives the (H, E+, E-, step, sign) of the four sl(2) triples,
 which the ladder relations, the Casimirs and the plane spin ladder read.
 The paper's commutator definitions of R+- and S+- are checked, not used.
@@ -139,7 +141,7 @@ def _terms(op: OperatorName, n: int, p: int) -> Mapping[BasisIndex, int | Fracti
     return MappingProxyType(_image(op, n, p, _injected_defect))
 
 
-# Sized from counted keys: one verify --suite all builds 3,142 distinct
+# Sized from counted keys: one verify --suite all builds 2,033 distinct
 # images, the three mode operators on every plane mode through j = 8 build 243.
 @lru_cache(maxsize=4096, typed=True)
 def _image(op: OperatorName, n: int, p: int, defect: str | None) -> ExactVector:
@@ -168,6 +170,23 @@ def combine(terms: Iterable[tuple[int | Fraction, Mapping]]) -> dict:
         for key, c in poly.items():
             out[key] = out.get(key, 0) + scale * c
     return {key: c for key, c in out.items() if c}
+
+
+def _product(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The normal-ordered product f g: the a and b bosons commute, and
+    a-**j a+**k = sum_r C(j, r) k!/(k-r)! a+**(k-r) a-**(j-r), the same for b."""
+    out: Polynomial = {}
+    for ((i, j, k, l), c), ((i2, j2, k2, l2), d) in product(f.items(), g.items()):
+        for r, s in product(range(min(j, i2) + 1), range(min(l, k2) + 1)):
+            key = (i + i2 - r, j + j2 - r, k + k2 - s, l + l2 - s)
+            term = c * d * comb(j, r) * perm(i2, r) * comb(l, s) * perm(k2, s)
+            out[key] = out.get(key, 0) + term
+    return {key: c for key, c in out.items() if c}
+
+
+def _bracket(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The commutator f g - g f, normal-ordered."""
+    return combine([(1, _product(f, g)), (-1, _product(g, f))])
 
 
 def apply_exact(op: OperatorName, vec: Mapping[BasisIndex, int | Fraction]) -> ExactVector:
@@ -270,49 +289,47 @@ def commutator_label(
 CasimirName = Literal["Cp", "Csu2", "Csu11", "CR", "CS"]
 
 
-def _quadratic_eigenvalue(
-    name: str,
-    idx: tuple[int, int],
-    parts: Sequence[tuple[int | Fraction, OperatorName, OperatorName]],
-    offset: int | Fraction = 0,
-) -> Fraction:
-    """Exact eigenvalue of offset + sum of scale * A B on one state.
+# The identity, the constant monomial.
+_ONE: Polynomial = {(0, 0, 0, 0): 1}
 
-    ``parts`` lists (scale, A, B).  Each B's image of the state is taken
-    once; parts with a zero scale apply no A.  Raises, naming the first
-    other label reached, when the state is not an eigenvector.
+
+@lru_cache(maxsize=None)
+def _casimir_polynomial(which: str) -> Polynomial:
+    """A Casimir as a normal-ordered polynomial, built on first use.
+
+    "Cp" is b- b+ + b+ b- - (2P + 1), the others H**2 + (sign/2) {E+, E-}
+    of their ``SL2_TRIPLES`` entry.  Raises when a monomial is not diagonal,
+    i.e. would move a state: the operator is then no Casimir of the table.
     """
-    key = BasisIndex(*idx)
-    state = exact_state(*key)
-    images = {b: apply_exact(b, state) for b in dict.fromkeys(b for _, _, b in parts)}
-    acc = combine([(offset, state)] + [
-        (scale, apply_exact(a, images[b])) for scale, a, b in parts if scale
-    ])
-    eigen = Fraction(acc.pop(key, 0))
-    if acc:
-        leak = tuple(next(iter(acc)))
-        raise RuntimeError(f"{name} is not diagonal on {tuple(key)}: leakage onto {leak}")
-    return eigen
+    t = _BILINEARS
+    if which == "Cp":
+        minus, plus = t[OperatorName.Bminus], t[OperatorName.Bplus]
+        terms = [(1, _product(minus, plus)), (1, _product(plus, minus)),
+                 (-2, t[OperatorName.P]), (-1, _ONE)]
+    elif which in SL2_TRIPLES:
+        h, plus, minus, _, sign = SL2_TRIPLES[which]
+        half = Fraction(sign, 2)
+        terms = [(1, _product(t[h], t[h])), (half, _product(t[plus], t[minus])),
+                 (half, _product(t[minus], t[plus]))]
+    else:
+        raise ValueError(f"unknown Casimir {which!r}")
+    poly = combine(terms)
+    leak = next((key for key in poly if key[0] != key[1] or key[2] != key[3]), None)
+    if leak is not None:
+        raise RuntimeError(f"Casimir {which} is not diagonal: it has the monomial {leak}")
+    return poly
 
 
 def casimir_eigenvalue(which: CasimirName, idx: tuple[int, int]) -> Fraction:
     """Exact Casimir eigenvalue on a single basis state.
 
-    Built from label actions only: "Cp" is b- b+ + b+ b- - (2P + 1), the
-    others H**2 + (sign/2) {E+, E-} of their ``SL2_TRIPLES`` entry.  Raises
-    if the state fails to be an exact eigenvector (which would indicate
-    broken matrix elements).
+    The diagonal monomial a+**i a-**i b+**k b-**k has the eigenvalue
+    n!/(n-i)! p!/(p-k)! on (n, p), so the Casimir's is a polynomial in the
+    labels, exact for labels of any size.
     """
-    if which == "Cp":
-        minus, plus = OperatorName.Bminus, OperatorName.Bplus
-        parts = [(1, minus, plus), (1, plus, minus)]
-        return _quadratic_eigenvalue(f"Casimir {which}", idx, parts, -(2 * idx[1] + 1))
-    if which not in SL2_TRIPLES:
-        raise ValueError(f"unknown Casimir {which!r}")
-    h, plus, minus, _, sign = SL2_TRIPLES[which]
-    half = Fraction(sign, 2)
-    parts = [(1, h, h), (half, plus, minus), (half, minus, plus)]
-    return _quadratic_eigenvalue(f"Casimir {which}", idx, parts)
+    n, p = idx
+    poly = _casimir_polynomial(which)
+    return Fraction(sum(c * perm(n, i) * perm(p, k) for (i, _, k, _), c in poly.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -521,18 +538,6 @@ class StructureConstants:
         return [[B[i3][i3] * v for v in row] for row in _inverse(B)]
 
 
-def _product(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The normal-ordered product f g: the a and b bosons commute, and
-    a-**j a+**k = sum_r C(j, r) k!/(k-r)! a+**(k-r) a-**(j-r), the same for b."""
-    out: Polynomial = {}
-    for ((i, j, k, l), c), ((i2, j2, k2, l2), d) in product(f.items(), g.items()):
-        for r, s in product(range(min(j, i2) + 1), range(min(l, k2) + 1)):
-            key = (i + i2 - r, j + j2 - r, k + k2 - s, l + l2 - s)
-            term = c * d * comb(j, r) * perm(i2, r) * comb(l, s) * perm(k2, s)
-            out[key] = out.get(key, 0) + term
-    return {key: c for key, c in out.items() if c}
-
-
 def derive_structure_constants() -> StructureConstants:
     """Expand every commutator of the ten generators over the generators.
 
@@ -553,8 +558,7 @@ def derive_structure_constants() -> StructureConstants:
     table = [[[Fraction(0)] * dim for _ in gens] for _ in gens]
     leftover: dict[tuple[int, int], Fraction] = {}
     for a, b in combinations(range(dim), 2):
-        f, g = polys[a], polys[b]
-        bracket = combine([(1, _product(f, g)), (-1, _product(g, f))])
+        bracket = _bracket(polys[a], polys[b])
         rhs = [bracket.get(monomials[k], 0) for k in rows]
         coeffs = [Fraction(sum(v * c for v, c in zip(row, rhs) if c)) for row in solve]
         table[a][b], table[b][a] = coeffs, [-c for c in coeffs]
@@ -586,11 +590,21 @@ def killing_casimir(sc: StructureConstants, idx: tuple[int, int]) -> Fraction:
     """Exact eigenvalue of the quadratic Casimir g^{ab} X_a X_b on one state.
 
     g^{ab} is ``sc.casimir_metric``, in the normalization of the spin
-    Casimir.  Raises when the constants carry a closure failure, the Killing
+    Casimir.  Taken through the label action, each X_b's image of the state
+    once.  Raises when the constants carry a closure failure, the Killing
     form is singular, or the state is not an eigenvector.
     """
     if any(sc.leftover.values()):
         raise ValueError("structure constants carry a closure failure")
     gens, g = sc.generators, sc.casimir_metric
-    parts = [(g[a][b], gens[a], gens[b]) for b in range(len(gens)) for a in range(len(gens))]
-    return _quadratic_eigenvalue("Killing Casimir", idx, parts)
+    parts = [(g[a][b], gens[a], gens[b]) for b in range(len(gens)) for a in range(len(gens))
+             if g[a][b]]
+    key = BasisIndex(*idx)
+    state = exact_state(*key)
+    images = {b: apply_exact(b, state) for b in dict.fromkeys(b for _, _, b in parts)}
+    acc = combine((scale, apply_exact(a, images[b])) for scale, a, b in parts)
+    eigen = Fraction(acc.pop(key, 0))
+    if acc:
+        leak = tuple(next(iter(acc)))
+        raise RuntimeError(f"Killing Casimir is not diagonal on {tuple(key)}: leakage onto {leak}")
+    return eigen

@@ -82,7 +82,7 @@ def test_criterion_4_algebra_suite_exact():
     ok = ok and opalgebra.casimir_eigenvalue("Csu11", (3, 1)) == Fraction(3, 4)
     ok = ok and opalgebra.casimir_eigenvalue("CR", (7, 7)) == Fraction(-3, 4)
     ok = ok and opalgebra.casimir_eigenvalue("CS", (7, 2)) == Fraction(-3, 4)
-    _report(4, "label algebra exact n,p<=12", ok, started)
+    _report(4, "label algebra exact on every n, p", ok, started)
     assert ok
 
 
@@ -231,7 +231,8 @@ def test_criterion_9_cli_contract():
         clean.returncode == 0
         and report.get("all_pass") is True
         and broken.returncode == 1
-        and "FAILED algebra/su2-commutators" in broken.stderr
+        and 'FAILED algebra/label-diff-consistency at {"op": "J+", "state": [1, 2]}'
+        in broken.stderr.splitlines()
     )
     _report(9, "command-line verify contract", ok, started)
     assert ok

@@ -234,26 +234,21 @@ def test_verify_defect_fails_and_names_identity(capsys):
     report = json.loads(out)
     assert report["all_pass"] is False
     failing = [n for n, c in report["suites"]["algebra"].items() if not c["pass"]]
-    assert "su2-commutators" in failing
-    assert "FAILED algebra/su2-commutators" in err
+    assert failing == ["label-diff-consistency"]
+    assert "FAILED algebra/label-diff-consistency" in err
 
 
 def test_verify_defect_report_pins_failing_checks(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "algebra", "--defect", "jplus-sign")
     assert code == 1
-    failing = {
-        name: check["max_residual"]
-        for name, check in json.loads(out)["suites"]["algebra"].items()
-        if not check["pass"]
-    }
-    # R+- and S+- are table entries, so only the checks that apply J+ itself
-    # fail; composite-definitions is worst on (1, 2): 4 on (3, 2), times sqrt(3! 2!/2!).
-    assert failing == {
-        "su2-commutators": 8.0,
-        "composite-definitions": 4 * math.sqrt(6),
-        "casimir-su2": 4.0,
-        "label-diff-consistency": 2.0,
-    }
+    checks = json.loads(out)["suites"]["algebra"]
+    failing = {name: check["max_residual"] for name, check in checks.items() if not check["pass"]}
+    # The relations and Casimirs are identities of the table, which the
+    # defect does not touch; only the check that applies the label action
+    # to states fails, with the flipped sign's residual 2.
+    assert failing == {"label-diff-consistency": 2.0}
+    scoped = {name for name, check in checks.items() if check.get("scope") == "all n, p"}
+    assert scoped == set(checks) - {"label-diff-consistency"}
 
 
 def test_verify_defect_names_each_failing_algebra_witness(capsys):
@@ -265,16 +260,31 @@ def test_verify_defect_names_each_failing_algebra_witness(capsys):
         for name, check in json.loads(out)["suites"]["algebra"].items()
         if not check["pass"]
     }
+    assert witnesses == {"label-diff-consistency": {"op": "J+", "state": [1, 2]}}
+    assert err.splitlines() == [
+        'FAILED algebra/label-diff-consistency at {"op": "J+", "state": [1, 2]}'
+    ]
+
+
+def test_verify_all_defect_names_every_failing_per_state_check(capsys):
+    # Across the suites, the per-state checks of the label action fail, each
+    # at the state (1, 2) that the defect breaks.
+    code, out, err = run(capsys, "verify", "--suite", "all", "--defect", "jplus-sign")
+    assert code == 1
+    witnesses = {
+        f"{suite}/{name}": check["witness"]
+        for suite, checks in json.loads(out)["suites"].items()
+        for name, check in checks.items()
+        if not check["pass"]
+    }
     assert witnesses == {
-        "su2-commutators": {"state": [1, 2], "pair": "[J+,J-]"},
-        "composite-definitions": {"state": [0, 1], "pair": "[J+,K+]"},
-        "casimir-su2": {"state": [1, 2]},
-        "label-diff-consistency": {"op": "J+", "state": [1, 2]},
+        "algebra/label-diff-consistency": {"op": "J+", "state": [1, 2]},
+        "so32/killing-casimir-constancy": {"states": [[0, 0], [1, 2]]},
+        "so32/killing-casimir-value": {"state": [1, 2]},
     }
     assert err.splitlines() == [
-        f"FAILED algebra/{name} at {json.dumps(witness)}" for name, witness in witnesses.items()
+        f"FAILED {name} at {json.dumps(witness)}" for name, witness in witnesses.items()
     ]
-    assert err.splitlines()[0] == 'FAILED algebra/su2-commutators at {"state": [1, 2], "pair": "[J+,J-]"}'
 
 
 def test_verify_plane_order_error_names_the_option_and_the_seed(capsys):

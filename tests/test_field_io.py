@@ -251,6 +251,20 @@ def test_reader_ignores_extra_cells_as_line_by_line(tmp_path, capsys):
     assert cli._parse_csv(lines, FIELD_HEADER, 4).shape == (6144, 4)
 
 
+def test_reader_reads_rows_with_extra_cells_by_blocks(tmp_path, capsys, monkeypatch):
+    lines = _big_field_lines(tmp_path, capsys)
+    want = cli._parse_csv(lines, FIELD_HEADER, 4)
+    trailing = [lines[0], *(line + "," for line in lines[1:])]
+    ragged = [lines[0], *(line + ",x" * (k % 3) for k, line in enumerate(lines[1:]))]
+
+    def line_by_line(*args):
+        raise AssertionError("the line-by-line reader ran")
+
+    monkeypatch.setattr(cli, "_checked_rows", line_by_line)
+    for extra in (trailing, ragged):
+        assert cli._parse_csv(extra, FIELD_HEADER, 4).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("body", [[], [""], ["  ", ""]])
 def test_reader_matches_line_by_line_on_empty_body(body):
     _assert_reads_as_line_by_line(["r,phi,re,im", *body])

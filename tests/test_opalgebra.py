@@ -384,11 +384,13 @@ def test_interchange_check_detects_a_broken_generator(monkeypatch):
     assert verify.suite_algebra(nmax=3)["interchange-symmetry"]["pass"] is True
     monkeypatch.setitem(oa._BILINEARS, Op.Bplus, {(0, 0, 1, 0): 2})
     oa._image.cache_clear()
+    oa._casimir_polynomial.cache_clear()
     try:
         check = verify.suite_algebra(nmax=3)["interchange-symmetry"]
     finally:
         monkeypatch.undo()
         oa._image.cache_clear()
+        oa._casimir_polynomial.cache_clear()
     assert check["pass"] is False
     assert check["max_residual"] > 0
     assert verify.suite_algebra(nmax=3)["interchange-symmetry"]["pass"] is True
