@@ -227,13 +227,12 @@ def _parse_csv(lines: list[str], header: list[str], min_fields: int) -> np.ndarr
     """The sample rows as a (rows, min_fields) float table.
 
     Blank lines are skipped and cells past min_fields ignored.  Each block
-    of rows is split into cells at once and converted column by column: a
-    block whose rows all have the same number of cells is read at that
-    stride, any other is first cut to min_fields cells a row.  The first two
-    columns (the grid coordinates r, phi or the mode labels j, m) repeat, so
-    each distinct text of theirs is converted once.  A file with a short row
-    or a cell that fails is read again line by line, which names its first
-    bad line.
+    of rows is split into cells at once and converted column by column; a
+    block with a row of extra cells is first cut to min_fields cells a row.
+    The first two columns (the grid coordinates r, phi or the mode labels j,
+    m) repeat, so each distinct text of theirs is converted once.  A file
+    with a short row or a cell that fails is read again line by line, which
+    names its first bad line.
     """
     if not lines:
         raise ValueError("line 1: empty input, expected a header row")
@@ -247,22 +246,20 @@ def _parse_csv(lines: list[str], header: list[str], min_fields: int) -> np.ndarr
         for start in range(0, len(body), _BLOCK_ROWS):
             block = body[start : start + _BLOCK_ROWS]
             commas = set(map(str.count, block, repeat(",")))
-            if min(commas) < min_fields - 1:
-                raise ValueError("a row with fewer than min_fields cells")
-            if len(commas) > 1:
+            if commas != {min_fields - 1}:
+                if min(commas) < min_fields - 1:
+                    raise ValueError("a row with fewer than min_fields cells")
                 block = [",".join(row.split(",", min_fields)[:min_fields]) for row in block]
-                commas = {min_fields - 1}
-            width = commas.pop() + 1
             cells = ",".join(block).split(",")
             rows = table[start : start + len(block)]
             for k in range(min_fields):
-                column = cells[k::width]
+                column = cells[k::min_fields]
                 if k < 2:
                     known.update((text, float(text)) for text in set(column).difference(known))
                     rows[:, k] = list(map(known.__getitem__, column))
                 else:
                     rows[:, k] = list(map(float, column))
-    except ValueError:  # a short or long row, or a cell that is not a number
+    except ValueError:  # a short row, or a cell that is not a number
         table = None
     if table is None or not np.isfinite(table).all():
         table = np.array(_checked_rows(lines, min_fields)).reshape(-1, min_fields)

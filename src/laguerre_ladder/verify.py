@@ -484,6 +484,9 @@ def run_suites(
     unknown = [n for n in names if n not in builders]
     if unknown:
         raise ValueError(f"unknown suite(s): {unknown}; choose from {list(builders)}")
+    if "so32" in names and nmax < 1:
+        # killing-casimir-constancy compares each state with (0, 0).
+        raise ValueError(f"the so32 suite needs nmax at least 1 (got {nmax})")
 
     suites = {n: builders[n]() for n in names}
 

@@ -138,6 +138,21 @@ def test_verify_rejects_negative_sizes(capsys, argv, flag):
     assert err == f"error: {flag} must be non-negative (got -1)\n"
 
 
+@pytest.mark.parametrize("suite", ["so32", "all"])
+def test_verify_so32_refuses_a_one_state_window(capsys, suite):
+    # Killing-Casimir constancy compares each state with (0, 0): at --nmax 0
+    # there is nothing to compare, so the suite refuses before running.
+    code, out, err = run(capsys, "verify", "--suite", suite, "--nmax", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: the so32 suite needs nmax at least 1 (got 0)\n"
+    code, out, _ = run(capsys, "verify", "--suite", "so32", "--nmax", "1")
+    assert code == 0
+    checks = json.loads(out)["suites"]["so32"]
+    assert checks["killing-casimir-constancy"]["cases"] == 3
+    assert checks["killing-casimir-value"]["cases"] == 4
+
+
 def test_verify_exact_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "exact", "--nmax", "8")
     assert code == 0

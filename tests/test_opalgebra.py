@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import itertools
 import math
@@ -397,6 +398,25 @@ def test_interchange_check_detects_a_broken_generator(monkeypatch):
 
 
 # -- Casimir eigenvalues ---------------------------------------------------------
+
+
+def test_casimir_polynomial_names_a_monomial_that_moves_a_state(monkeypatch):
+    # An a+ term in J3 makes H**2 of the su(2) Casimir move n by one.
+    monkeypatch.setitem(oa._BILINEARS, Op.J3, {**oa._BILINEARS[Op.J3], (1, 0, 0, 0): 1})
+    oa._casimir_polynomial.cache_clear()
+    try:
+        with pytest.raises(RuntimeError) as info:
+            oa.casimir_eigenvalue("Csu2", (2, 3))
+        assert oa.casimir_eigenvalue("Cp", (2, 3)) == 0
+    finally:
+        monkeypatch.undo()
+        oa._casimir_polynomial.cache_clear()
+    message = str(info.value)
+    prefix = "Casimir Csu2 is not diagonal: it has the monomial "
+    assert message.startswith(prefix)
+    i, j, k, l = ast.literal_eval(message[len(prefix):])
+    assert i != j or k != l
+    assert oa.casimir_eigenvalue("Csu2", (2, 3)) == Fraction(35, 4)  # j = 5/2
 
 
 def test_casimir_examples():
