@@ -109,6 +109,8 @@ def lines() -> Iterator[str]:
             ["verify", "--suite", "algebra", "--defect", "jplus-sign"],
             ["verify", "--suite", "algebra", "--nmax", "4", "--defect", "jplus-sign"],
             ["verify", "--suite", "so32", "--defect", "jplus-sign"],
+            # The Killing Casimir on every state n, p <= 20.
+            ["verify", "--suite", "so32", "--nmax", "20"],
             ["verify", "--suite", "exact", "--nmax", "0", "--alpha-max", "0"],
             # The round trip's seed modes reach j = 8, past --jmax 6: exit 2.
             ["verify", "--suite", "plane", "--jmax", "6", "--order", "8"],

@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .exactpoly import LaurentPoly, laguerre
+from .exactpoly import LaurentPoly, combination, laguerre
 from .radicals import float_sqrt
 
 
@@ -117,10 +117,11 @@ def derived_core(half_power: int, core: LaurentPoly) -> LaurentPoly:
     (and its integer evaluator) for every point; `verify --suite all` needs
     182 distinct keys.
     """
-    out = core.derivative() - Fraction(1, 2) * core
-    if half_power != 0:
-        out = out + Fraction(half_power, 2) * core.shift(-1)
-    return out
+    return combination([
+        (1, core.derivative(), 0),
+        (Fraction(-1, 2), core, 0),
+        (Fraction(half_power, 2), core, -1),
+    ])
 
 
 def _value(c: Carrier, core: LaurentPoly, x: float) -> float:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
-from typing import Mapping
+from typing import Iterable, Mapping
 
 RationalLike = int | Fraction
 
@@ -232,6 +232,30 @@ def _reduced(nums: dict[int, int], den: int) -> LaurentPoly:
     return _raw(nums, den)
 
 
+def combination(terms: Iterable[tuple[RationalLike, LaurentPoly, int]]) -> LaurentPoly:
+    """Sum of scale * poly * x**shift over (scale, poly, shift) terms.
+
+    One pass over one common denominator, the lcm of every term's scale
+    denominator times its polynomial's, and one reduction at the end (Knuth,
+    TAOCP Vol. 2, 4.5.1), where a chain of ``+``, ``-`` and scalar ``*``
+    builds and reduces a polynomial per operation.  Scales are int or
+    Fraction; zero scales and zero polynomials drop out.
+    """
+    parts = [
+        (scale.numerator, scale.denominator * poly._den, poly._coeffs, shift)
+        for scale, poly, shift in terms
+        if scale and poly._coeffs
+    ]
+    den = lcm(*(d for _, d, _, _ in parts))
+    out: dict[int, int] = {}
+    for num, d, coeffs, shift in parts:
+        factor = num * (den // d)
+        for k, c in coeffs.items():
+            k += shift
+            out[k] = out.get(k, 0) + factor * c
+    return _reduced({k: c for k, c in out.items() if c}, den)
+
+
 def _validate_index(n: int, alpha: int) -> None:
     if not isinstance(n, int) or not isinstance(alpha, int):
         raise ValueError(f"indices must be integers (got n={n!r}, alpha={alpha!r})")
@@ -270,7 +294,7 @@ def de_residual(n: int, alpha: int) -> LaurentPoly:
     p = laguerre(n, alpha)
     d1 = p.derivative()
     d2 = d1.derivative()
-    return d2.shift(1) + (1 + alpha) * d1 - d1.shift(1) + n * p
+    return combination([(1, d2, 1), (1 + alpha, d1, 0), (-1, d1, 1), (n, p, 0)])
 
 
 def alpha_ladder_check(n: int, alpha: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -288,8 +312,10 @@ def alpha_ladder_check(n: int, alpha: int) -> tuple[LaurentPoly, LaurentPoly]:
         )
     p = laguerre(n, alpha)
     d1 = p.derivative()
-    raise_res = (p - d1) - laguerre(n, alpha + 1)
-    lower_res = d1.shift(1) + alpha * p - (n + alpha) * laguerre(n, alpha - 1)
+    raise_res = combination([(1, p, 0), (-1, d1, 0), (-1, laguerre(n, alpha + 1), 0)])
+    lower_res = combination(
+        [(1, d1, 1), (alpha, p, 0), (-(n + alpha), laguerre(n, alpha - 1), 0)]
+    )
     return raise_res, lower_res
 
 
@@ -299,9 +325,9 @@ def three_term_residual(n: int, alpha: int) -> LaurentPoly:
         raise ValueError("three-term residual needs n >= 1")
     _validate_index(n - 1, alpha)
     cur = laguerre(n, alpha)
-    return (
-        (n + 1) * laguerre(n + 1, alpha)
-        - (2 * n + 1 + alpha) * cur
-        + cur.shift(1)
-        + (n + alpha) * laguerre(n - 1, alpha)
-    )
+    return combination([
+        (n + 1, laguerre(n + 1, alpha), 0),
+        (-(2 * n + 1 + alpha), cur, 0),
+        (1, cur, 1),
+        (n + alpha, laguerre(n - 1, alpha), 0),
+    ])

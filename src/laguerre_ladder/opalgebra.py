@@ -31,12 +31,12 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import comb, perm
+from math import comb, lcm, perm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from .basis import BasisIndex, Carrier, carrier_M, derived_core, evaluate, evaluate_derivative
-from .exactpoly import LaurentPoly
+from .exactpoly import LaurentPoly, combination
 from .radicals import SqrtSum
 
 
@@ -349,13 +349,13 @@ def e_residual_symbolic(n: int, p: int) -> LaurentPoly:
     k = c.half_power
     q1 = derived_core(k, q)
     q2 = derived_core(k, q1)
-    return (
-        q2.shift(1)
-        + q1
-        + Fraction(n + p + 1, 2) * q
-        - Fraction((p - n) ** 2, 4) * q.shift(-1)
-        - Fraction(1, 4) * q.shift(1)
-    )
+    return combination([
+        (1, q2, 1),
+        (1, q1, 0),
+        (Fraction(n + p + 1, 2), q, 0),
+        (Fraction(-(p - n) ** 2, 4), q, -1),
+        (Fraction(-1, 4), q, 1),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +398,10 @@ def diff_image(op: OperatorName, n: int, p: int) -> Carrier:
         shift, core = 0, e_residual_symbolic(n, p)
     else:
         shift, a, b = _FIRST_ORDER_FORMS[op](n, p)
-        core = LaurentPoly(a) * derived_core(c.half_power, c.core) + LaurentPoly(b) * c.core
+        d = derived_core(c.half_power, c.core)
+        core = combination(
+            [*((v, d, k) for k, v in a.items()), *((v, c.core, k) for k, v in b.items())]
+        )
     return Carrier(c.sign, c.norm_squared, c.half_power + shift, core, c.label)
 
 
@@ -448,6 +451,12 @@ SO32_GENERATORS: tuple[OperatorName, ...] = (
     OperatorName.Sminus,
 )
 
+
+def _integral(v: int | Fraction) -> int | Fraction:
+    """v as an int when it is one."""
+    return v.numerator if v.denominator == 1 else v
+
+
 def _row_reduce(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Fraction, and its pivot columns."""
     rows = [[Fraction(v) for v in row] for row in rows]
@@ -483,43 +492,45 @@ class StructureConstants:
     ``table[a][b][c]`` is the exact coefficient of generator c in
     [X_a, X_b].  ``leftover[a, b]``, for each pair a < b, is the largest
     coefficient that the polynomial of [X_a, X_b] leaves over after its
-    expansion: zero when the bracket closes on the generators.
+    expansion: zero when the bracket closes on the generators.  Integral
+    entries of both are ``int`` (for so(3,2) all of them), so the gap
+    checks and the Killing form run in integer arithmetic.
     """
 
     generators: tuple[OperatorName, ...]
-    table: list[list[list[Fraction]]]
-    leftover: dict[tuple[int, int], Fraction]
+    table: list[list[list[int | Fraction]]]
+    leftover: dict[tuple[int, int], int | Fraction]
 
     @cached_property
-    def nonzero(self) -> list[list[list[tuple[int, Fraction]]]]:
+    def nonzero(self) -> list[list[list[tuple[int, int | Fraction]]]]:
         """``nonzero[a][b]`` lists (c, table[a][b][c]) for the nonzero entries."""
         return [[[(c, v) for c, v in enumerate(row) if v] for row in rows] for rows in self.table]
 
-    def closure_gaps(self) -> Iterator[tuple[tuple[OperatorName, ...], Fraction]]:
+    def closure_gaps(self) -> Iterator[tuple[tuple[OperatorName, ...], int | Fraction]]:
         """Each pair (X_a, X_b), a < b, with the largest coefficient its bracket leaves over."""
         g = self.generators
         for (a, b), gap in self.leftover.items():
             yield (g[a], g[b]), gap
 
-    def antisymmetry_gaps(self) -> Iterator[tuple[tuple[OperatorName, ...], Fraction]]:
+    def antisymmetry_gaps(self) -> Iterator[tuple[tuple[OperatorName, ...], int | Fraction]]:
         """Each pair (X_a, X_b) with the largest coefficient of [X_a,X_b] + [X_b,X_a]."""
         t, g = self.table, self.generators
         for a, b in product(range(len(g)), repeat=2):
             yield (g[a], g[b]), max(abs(t[a][b][c] + t[b][a][c]) for c in range(len(g)))
 
-    def jacobi_gaps(self) -> Iterator[tuple[tuple[OperatorName, ...], Fraction]]:
+    def jacobi_gaps(self) -> Iterator[tuple[tuple[OperatorName, ...], int | Fraction]]:
         """Each triple (X_a, X_b, X_c) with the largest coefficient of [X_a,[X_b,X_c]] + cyclic."""
         nz, gens = self.nonzero, self.generators
         for a, b, c in product(range(len(gens)), repeat=3):
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, int | Fraction] = {}
             for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
                 for d, v in nz[y][z]:
                     for e, w in nz[x][d]:
                         acc[e] = acc.get(e, 0) + v * w
-            yield (gens[a], gens[b], gens[c]), max(map(abs, acc.values()), default=Fraction(0))
+            yield (gens[a], gens[b], gens[c]), max(map(abs, acc.values()), default=0)
 
     @cached_property
-    def killing_form(self) -> tuple[tuple[Fraction, ...], ...]:
+    def killing_form(self) -> tuple[tuple[int | Fraction, ...], ...]:
         """B_ab = sum_cd f_ac^d f_bd^c, built once and shared, so read-only."""
         t, r = self.table, range(len(self.generators))
         return tuple(
@@ -536,6 +547,19 @@ class StructureConstants:
         if not B[i3][i3]:
             raise RuntimeError("degenerate su(2) block in the Killing form")
         return [[B[i3][i3] * v for v in row] for row in _inverse(B)]
+
+    @cached_property
+    def casimir_parts(self) -> tuple[list[tuple[int, OperatorName, OperatorName]], int]:
+        """The nonzero entries of ``casimir_metric`` over their common
+        denominator: ([(g^{ab} * den, X_a, X_b)], den), with int numerators.
+
+        Read from ``casimir_metric`` on first use, so a copy that replaces
+        the metric gets its own parts."""
+        g, gens = self.casimir_metric, self.generators
+        entries = [(g[a][b], gens[a], gens[b]) for b in range(len(gens)) for a in range(len(gens))
+                   if g[a][b]]
+        den = lcm(*(v.denominator for v, _, _ in entries))
+        return [(v.numerator * (den // v.denominator), a, b) for v, a, b in entries], den
 
 
 def derive_structure_constants() -> StructureConstants:
@@ -555,15 +579,15 @@ def derive_structure_constants() -> StructureConstants:
         raise RuntimeError("the generator polynomials are linearly dependent")
     solve = _inverse([design[k] for k in rows])
 
-    table = [[[Fraction(0)] * dim for _ in gens] for _ in gens]
-    leftover: dict[tuple[int, int], Fraction] = {}
+    table: list[list[list[int | Fraction]]] = [[[0] * dim for _ in gens] for _ in gens]
+    leftover: dict[tuple[int, int], int | Fraction] = {}
     for a, b in combinations(range(dim), 2):
         bracket = _bracket(polys[a], polys[b])
         rhs = [bracket.get(monomials[k], 0) for k in rows]
-        coeffs = [Fraction(sum(v * c for v, c in zip(row, rhs) if c)) for row in solve]
+        coeffs = [_integral(sum(v * c for v, c in zip(row, rhs) if c)) for row in solve]
         table[a][b], table[b][a] = coeffs, [-c for c in coeffs]
         left = combine([(1, bracket), *((-c, poly) for c, poly in zip(coeffs, polys))])
-        leftover[a, b] = Fraction(max(map(abs, left.values()), default=0))
+        leftover[a, b] = _integral(max(map(abs, left.values()), default=0))
     return StructureConstants(gens, table, leftover)
 
 
@@ -590,21 +614,27 @@ def killing_casimir(sc: StructureConstants, idx: tuple[int, int]) -> Fraction:
     """Exact eigenvalue of the quadratic Casimir g^{ab} X_a X_b on one state.
 
     g^{ab} is ``sc.casimir_metric``, in the normalization of the spin
-    Casimir.  Taken through the label action, each X_b's image of the state
+    Casimir, read as integers over one denominator (``sc.casimir_parts``).
+    Taken through the label action: each part adds its scale times the two
+    elements along each path out of the state, an int but for the J3 and K3
+    parts, whose diagonal elements are half-integers, and the sum is divided
     once.  Raises when the constants carry a closure failure, the Killing
     form is singular, or the state is not an eigenvector.
     """
     if any(sc.leftover.values()):
         raise ValueError("structure constants carry a closure failure")
-    gens, g = sc.generators, sc.casimir_metric
-    parts = [(g[a][b], gens[a], gens[b]) for b in range(len(gens)) for a in range(len(gens))
-             if g[a][b]]
+    parts, den = sc.casimir_parts
     key = BasisIndex(*idx)
-    state = exact_state(*key)
-    images = {b: apply_exact(b, state) for b in dict.fromkeys(b for _, _, b in parts)}
-    acc = combine((scale, apply_exact(a, images[b])) for scale, a, b in parts)
-    eigen = Fraction(acc.pop(key, 0))
-    if acc:
-        leak = tuple(next(iter(acc)))
-        raise RuntimeError(f"Killing Casimir is not diagonal on {tuple(key)}: leakage onto {leak}")
+    n, p = key
+    acc: dict[BasisIndex, int | Fraction] = {}
+    for scale, a, b in parts:
+        for (m, q), e in _image(b, n, p, _injected_defect).items():
+            for target, f in _image(a, m, q, _injected_defect).items():
+                acc[target] = acc.get(target, 0) + scale * e * f
+    eigen = Fraction(acc.pop(key, 0), den)
+    leak = next((target for target, v in acc.items() if v), None)
+    if leak is not None:
+        raise RuntimeError(
+            f"Killing Casimir is not diagonal on {tuple(key)}: leakage onto {tuple(leak)}"
+        )
     return eigen

@@ -71,8 +71,10 @@ def _off_identity(matrix: np.ndarray) -> list[float]:
 
 def _negative_parameter_residual(n: int, a: int) -> Fraction:
     """L_n^(-a) against (-1)**a (n-a)!/n! x**a L_{n-a}^(a)."""
-    rhs = (-1) ** a * Fraction(factorial(n - a), factorial(n)) * exactpoly.laguerre(n - a, a)
-    return (exactpoly.laguerre(n, -a) - rhs.shift(a)).max_abs_coefficient()
+    scale = (-1) ** a * Fraction(factorial(n - a), factorial(n))
+    return exactpoly.combination(
+        [(1, exactpoly.laguerre(n, -a), 0), (-scale, exactpoly.laguerre(n - a, a), a)]
+    ).max_abs_coefficient()
 
 
 def _swap_residual(n: int, p: int) -> float:
@@ -252,11 +254,12 @@ def label_diff_consistency(nmax: int = 10) -> dict:
             state = opalgebra.exact_state(n, p)
             for op in opalgebra.FIRST_ORDER:
                 image = opalgebra.diff_image(op, n, p)
-                lhs, rhs = gauge(image) * image.core, exactpoly.LaurentPoly()
+                terms = []
                 for t, coeff in opalgebra.apply_exact(op, state).items():
                     c = carrier_M(*t)
                     shift = (c.half_power - image.half_power) // 2
-                    rhs = rhs + (coeff * gauge(c)) * c.core.shift(shift)
+                    terms.append((coeff * gauge(c), c.core, shift))
+                lhs, rhs = gauge(image) * image.core, exactpoly.combination(terms)
                 residual = 0
                 if lhs != rhs:
                     scale = max(lhs.max_abs_coefficient(), rhs.max_abs_coefficient())

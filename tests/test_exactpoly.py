@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from laguerre_ladder.exactpoly import (
     LaurentPoly,
     alpha_ladder_check,
+    combination,
     de_residual,
     laguerre,
     three_term_residual,
@@ -113,6 +114,53 @@ def test_two_routes_give_one_form(p, r, q):
         assert other == p
         assert hash(other) == hash(p)
         assert (other._den, other._coeffs) == (p._den, p._coeffs)
+
+
+# -- one combination over one denominator --------------------------------------
+
+scales = st.one_of(st.integers(-30, 30), rationals, st.just(0), st.just(Fraction(0)))
+combination_terms = st.lists(st.tuples(scales, polys, st.integers(-6, 6)), max_size=6)
+
+
+def _operator_chain(terms) -> LaurentPoly:
+    """The same sum through +, -, scalar * and shift, one operation at a time."""
+    out = LaurentPoly()
+    for scale, poly, shift in terms:
+        if scale < 0:
+            out = out - (-scale) * poly.shift(shift)
+        else:
+            out = out + scale * poly.shift(shift)
+    return out
+
+
+@given(combination_terms)
+@example([])
+@example([(1, LaurentPoly({0: 1, -2: Fraction(1, 3)}), 2),
+          (-1, LaurentPoly({2: 1, 0: Fraction(1, 3)}), 0)])  # cancels to zero
+@example([(Fraction(3, 4), LaurentPoly({1: Fraction(2, 3)}), -3),
+          (2, LaurentPoly({-2: Fraction(-1, 4)}), 0)])  # cancels to zero
+def test_combination_is_the_operator_chain(terms):
+    got = combination(terms)
+    want = _operator_chain(terms)
+    assert got == want
+    assert hash(got) == hash(want)
+    assert got.items() == want.items()
+    _assert_canonical(got)
+
+
+def test_combination_edge_cases():
+    p = LaurentPoly({-1: Fraction(1, 6), 3: Fraction(-5, 4)})
+    assert combination([]) == LaurentPoly() and combination([])._den == 1
+    assert combination([(0, p, 2), (Fraction(0), p, -1), (5, LaurentPoly(), 0)]).is_zero()
+    # x**2 p - x p.shift(1) cancels; so does 1/2 p + (-1/2) p.
+    cancelled = combination([(1, p, 2), (-1, p.shift(1), 1),
+                             (Fraction(1, 2), p, 0), (Fraction(-1, 2), p, 0)])
+    assert cancelled.is_zero() and (cancelled._den, cancelled._coeffs) == (1, {})
+    # Over the common denominator 6, 1/2 (2/3) x + 2/3 x is x, stored over 1.
+    whole = combination([(Fraction(1, 2), LaurentPoly({0: Fraction(2, 3)}), 1),
+                         (Fraction(2, 3), LaurentPoly({1: 1}), 0)])
+    assert (whole._den, whole._coeffs) == (1, {1: 1})
+    assert combination([(Fraction(4, 3), p, -2)]) == Fraction(4, 3) * p.shift(-2)
 
 
 @settings(max_examples=40)

@@ -691,10 +691,14 @@ def test_fitted_pairs_match_known_relations(constants):
 
 def test_table_and_killing_entries_are_exact_integers(constants):
     entries = {v for rows in constants.table for row in rows for v in row}
-    assert all(isinstance(v, Fraction) for v in entries)
+    assert all(type(v) is int for v in entries)
     assert entries == {0, 1, -1, 2, -2, 4, -4}
+    assert all(type(v) is int for v in constants.leftover.values())
     killing = {v for row in oa.killing_form(constants) for v in row}
+    assert all(type(v) is int for v in killing)
     assert killing == {-24, -12, 0, 6, 12}
+    parts, den = constants.casimir_parts
+    assert den == 4 and len(parts) == 10 and all(type(v) is int for v, _, _ in parts)
 
 
 def test_table_reproduces_every_commutator_on_every_state(constants):
@@ -732,6 +736,53 @@ def test_killing_casimir_value_and_constancy(constants):
     for n in range(13):
         for p in range(13):
             assert oa.killing_casimir(constants, (n, p)) == Fraction(-5, 4), (n, p)
+
+
+def _killing_reference(sc, idx):
+    """g^{ab} X_a X_b on the state with Fraction metric entries, one combine:
+    (diagonal element, the leaked vector)."""
+    gens, g = sc.generators, sc.casimir_metric
+    parts = [(g[a][b], gens[a], gens[b]) for b in range(len(gens)) for a in range(len(gens))
+             if g[a][b]]
+    key = BasisIndex(*idx)
+    state = oa.exact_state(*key)
+    images = {b: oa.apply_exact(b, state) for b in dict.fromkeys(b for _, _, b in parts)}
+    acc = oa.combine((Fraction(v), oa.apply_exact(a, images[b])) for v, a, b in parts)
+    return Fraction(acc.pop(key, 0)), acc
+
+
+thirds = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(labels, st.lists(thirds, min_size=10, max_size=10))
+def test_killing_casimir_matches_the_fraction_reference(constants, idx, weights):
+    # Each X_a X_b that steps out and back (J+ J-, J3 J3, ...) is diagonal
+    # on its own, so any weights on those ten pairs give an eigenvalue.
+    sc = dataclasses.replace(constants)
+    gens = sc.generators
+    metric = [[Fraction(v, 3) for v in row] for row in constants.casimir_metric]
+    for (_, a, b), w in zip(constants.casimir_parts[0], weights):
+        metric[gens.index(a)][gens.index(b)] += w
+    sc.casimir_metric = metric
+    want, leak = _killing_reference(sc, idx)
+    assert not leak
+    assert oa.killing_casimir(sc, idx) == want
+    with oa.injected_defect("jplus-sign"):
+        assert oa.killing_casimir(sc, idx) == _killing_reference(sc, idx)[0]
+
+
+def test_killing_casimir_leak_matches_the_fraction_reference(constants):
+    sc = dataclasses.replace(constants)
+    gens = sc.generators
+    metric = [list(row) for row in constants.casimir_metric]
+    metric[gens.index(Op.Kplus)][gens.index(Op.J3)] = Fraction(1, 3)  # K+ J3 moves (n, p)
+    sc.casimir_metric = metric
+    assert sc.casimir_parts[1] == 12
+    _, leak = _killing_reference(sc, (2, 3))
+    assert list(leak) == [(3, 4)]
+    with pytest.raises(RuntimeError, match=r"not diagonal on \(2, 3\): leakage onto \(3, 4\)"):
+        oa.killing_casimir(sc, (2, 3))
 
 
 def test_killing_casimir_names_leakage(constants):
