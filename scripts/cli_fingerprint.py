@@ -13,7 +13,9 @@ plane round trip: a jmax-8 mode file to a 96 x 64 field, with and without
 one with a short row and one with a cell that is not a number,
 ``--apply Jplus`` on a single mode at large j (999,983, and
 9,007,199,254,740,880 just under the 2**53 label bound, where j + 1 is
-prime), and a mode whose power is beyond the float range (exit 2).
+prime), a mode whose power is beyond the float range (exit 2), a mode
+file with a power column and one trailing comma, and one whose label cell
+is padded with U+001F, which ``float`` refuses (exit 2).
 Run it on two checkouts and diff the outputs to confirm that a change
 leaves every command's output byte-identical:
 
@@ -86,6 +88,7 @@ def lines() -> Iterator[str]:
         modes, modes8 = Path(tmp) / "modes.csv", Path(tmp) / "modes8.csv"
         large_j, large_amp = Path(tmp) / "large-j.csv", Path(tmp) / "large-amplitude.csv"
         largest_j = Path(tmp) / "largest-j.csv"
+        extra_cell, padded_label = Path(tmp) / "extra-cell.csv", Path(tmp) / "padded-label.csv"
         field, field96, field96_j3, misplaced, short_row, bad_cell = (
             Path(tmp) / name
             for name in ("field.csv", "field96.csv", "field96-j3.csv", "misplaced.csv",
@@ -96,6 +99,11 @@ def lines() -> Iterator[str]:
         large_j.write_text("j,m,re,im\n999983,0,1.0,0.0\n", encoding="utf-8")
         largest_j.write_text("j,m,re,im\n9007199254740880,0,1.0,0.0\n", encoding="utf-8")
         large_amp.write_text("j,m,re,im\n1,0,1e200,0\n", encoding="utf-8")
+        extra_cell.write_text(
+            "j,m,re,im,power\n0,0,1.5,-0.25,2.3125\n1,-1,0.5,0.5,0.5,\n1,1,-0.75,0,0.5625\n",
+            encoding="utf-8",
+        )
+        padded_label.write_text("j,m,re,im\n\x1f1,0,1.0,0.0\n", encoding="utf-8")
         # decompose reads the output of these three
         to_field = ["modes", "--input", str(modes), "--to-field"]
         to_field96 = ["modes", "--input", str(modes8), "--to-field",
@@ -142,6 +150,10 @@ def lines() -> Iterator[str]:
             ["modes", "--input", str(large_j), "--apply", "Jplus"],
             ["modes", "--input", str(largest_j), "--apply", "Jplus"],  # j + 1 prime
             ["modes", "--input", str(large_amp)],  # |1e200|**2 overflows: exit 2
+            # A mode file as modes writes it, one row with a trailing comma.
+            ["modes", "--input", str(extra_cell)],
+            # float() refuses a label cell padded with U+001F: exit 2 naming line 2.
+            ["modes", "--input", str(padded_label)],
         ]
         for argv in calls:
             code, stdout, stderr = _run(argv)

@@ -21,7 +21,6 @@ from .opalgebra import (
     derive_structure_constants,
     e_residual_symbolic,
     killing_casimir,
-    killing_form,
     su2_block_scale,
 )
 from .plane import (

@@ -20,7 +20,6 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -218,21 +217,14 @@ def _read_lines(path: str) -> list[str]:
         return handle.read().splitlines()
 
 
-# Rows the reader converts at once: a block's cells are held as text, so the
-# block size, not the file's, bounds the reader's memory beyond the table.
-_BLOCK_ROWS = 256
-
-
 def _parse_csv(lines: list[str], header: list[str], min_fields: int) -> np.ndarray:
     """The sample rows as a (rows, min_fields) float table.
 
-    Blank lines are skipped and cells past min_fields ignored.  Each block
-    of rows is split into cells at once and converted column by column; a
-    block with a row of extra cells is first cut to min_fields cells a row.
-    The first two columns (the grid coordinates r, phi or the mode labels j,
-    m) repeat, so each distinct text of theirs is converted once.  A file
-    with a short row or a cell that fails is read again line by line, which
-    names its first bad line.
+    Blank lines are skipped and cells past min_fields ignored.  The rows go
+    through numpy's CSV reader, whose bits are those of ``float`` on each
+    cell.  A file it refuses (a short row, a cell that is not a number) or
+    that holds a non-finite cell is read again line by line, which names
+    its first bad line.
     """
     if not lines:
         raise ValueError("line 1: empty input, expected a header row")
@@ -240,27 +232,16 @@ def _parse_csv(lines: list[str], header: list[str], min_fields: int) -> np.ndarr
     if got[: len(header)] != header:
         raise ValueError(f"line 1: expected header {','.join(header)!r}, got {lines[0]!r}")
     body = list(filter(str.strip, lines[1:]))
-    table = np.empty((len(body), min_fields))
-    known: dict[str, float] = {}
-    try:
-        for start in range(0, len(body), _BLOCK_ROWS):
-            block = body[start : start + _BLOCK_ROWS]
-            commas = set(map(str.count, block, repeat(",")))
-            if commas != {min_fields - 1}:
-                if min(commas) < min_fields - 1:
-                    raise ValueError("a row with fewer than min_fields cells")
-                block = [",".join(row.split(",", min_fields)[:min_fields]) for row in block]
-            cells = ",".join(block).split(",")
-            rows = table[start : start + len(block)]
-            for k in range(min_fields):
-                column = cells[k::min_fields]
-                if k < 2:
-                    known.update((text, float(text)) for text in set(column).difference(known))
-                    rows[:, k] = list(map(known.__getitem__, column))
-                else:
-                    rows[:, k] = list(map(float, column))
-    except ValueError:  # a short row, or a cell that is not a number
-        table = None
+    table = None
+    # numpy warns on an empty body, and reads a cell padded with U+001C..U+001F
+    # as its number where float() refuses it: both go line by line.
+    if body and not any(map("".join(body).__contains__, "\x1c\x1d\x1e\x1f")):
+        try:
+            table = np.loadtxt(
+                body, delimiter=",", comments=None, usecols=range(min_fields), ndmin=2
+            )
+        except ValueError:  # a short row, or a cell that is not a number
+            pass
     if table is None or not np.isfinite(table).all():
         table = np.array(_checked_rows(lines, min_fields)).reshape(-1, min_fields)
     return table

@@ -141,9 +141,7 @@ def _terms(op: OperatorName, n: int, p: int) -> Mapping[BasisIndex, int | Fracti
     return MappingProxyType(_image(op, n, p, _injected_defect))
 
 
-# Sized from counted keys: one verify --suite all builds 2,033 distinct
-# images, the three mode operators on every plane mode through j = 8 build 243.
-@lru_cache(maxsize=4096, typed=True)
+@lru_cache(maxsize=None, typed=True)
 def _image(op: OperatorName, n: int, p: int, defect: str | None) -> ExactVector:
     """One monomial rule: a+**i a-**j b+**k b-**l sends (n, p) to
     (n - j + i, p - l + k) with the element n!/(n-j)! p!/(p-l)!, which
@@ -589,11 +587,6 @@ def derive_structure_constants() -> StructureConstants:
         left = combine([(1, bracket), *((-c, poly) for c, poly in zip(coeffs, polys))])
         leftover[a, b] = _integral(max(map(abs, left.values()), default=0))
     return StructureConstants(gens, table, leftover)
-
-
-def killing_form(sc: StructureConstants) -> tuple[tuple[Fraction, ...], ...]:
-    """B_ab = sum_cd f_ac^d f_bd^c from the derived constants, computed once per ``sc``."""
-    return sc.killing_form
 
 
 def su2_block_scale(sc: StructureConstants) -> tuple[Fraction, Fraction]:

@@ -168,7 +168,7 @@ def test_criterion_8_so32_closure_and_killing_casimir():
     started = time.time()
     sc = opalgebra.derive_structure_constants()
     entries = {v for rows in sc.table for row in rows for v in row}
-    killing = {v for row in opalgebra.killing_form(sc) for v in row}
+    killing = {v for row in sc.killing_form for v in row}
     values = {
         (n, p): opalgebra.killing_casimir(sc, (n, p)) for n in range(13) for p in range(13)
     }

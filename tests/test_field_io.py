@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laguerre_ladder import cli, plane
 from laguerre_ladder.basis import weightless_values
@@ -293,15 +295,50 @@ def test_reader_refuses_misaligned_rows_with_the_right_cell_total(first, second)
         cli._parse_csv(lines, FIELD_HEADER, 4)
 
 
-def test_reader_converts_each_distinct_coordinate_once(tmp_path, capsys, monkeypatch):
-    lines = _big_field_lines(tmp_path, capsys)
-    want = cli._parse_csv(lines, FIELD_HEADER, 4)
-    texts = []
-    monkeypatch.setattr(cli, "float", lambda text: texts.append(text) or float(text), raising=False)
-    got = cli._parse_csv(lines, FIELD_HEADER, 4)
-    assert got.tobytes() == want.tobytes()
-    # 96 radii and 64 angles, then one conversion per re and im cell.
-    assert len(texts) == 96 + 64 + 2 * 6144
+# Padding around a cell, or a blank line.
+_SPACE = st.sampled_from(["", " ", "\t", " \t "])
+_NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.floats().map(lambda v: "%.17g" % v),
+    st.builds(
+        "{}{}e{:+d}".format,
+        st.sampled_from(["", "-", "+"]),
+        st.from_regex(r"[0-9]{1,25}(\.[0-9]{0,25})?", fullmatch=True),
+        st.integers(-400, 400),
+    ),
+)
+_CELL = st.builds("{}{}{}".format, _SPACE, _NUMBER, _SPACE)
+# Four cells, then up to two extra ones.
+_ROW = st.builds(
+    list.__add__,
+    st.lists(_CELL, min_size=4, max_size=4),
+    st.lists(_CELL | st.sampled_from(["", "x"]), max_size=2),
+)
+# Cells that only float() reads (1_0 and the non-ASCII digits), that only
+# numpy's parser reads (U+001F padding), or that neither reads.
+_DISAGREEMENT = ["1_0", "\u0661\u0662", "\uff11.5", "\x1f1.5", "1.5\x1f", "#", "1#x"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(st.one_of(_ROW, _ROW, _SPACE), max_size=6),
+    odd=st.none() | st.tuples(st.integers(0, 5), st.integers(0, 3), st.sampled_from(_DISAGREEMENT)),
+)
+def test_reader_matches_line_by_line_on_generated_bodies(lines, odd):
+    rows = [line for line in lines if isinstance(line, list)]
+    if odd and rows:
+        k, column, cell = odd
+        rows[k % len(rows)][column] = cell
+    body = [line if isinstance(line, str) else ",".join(line) for line in lines]
+    _assert_reads_as_line_by_line(["r,phi,re,im", *body])
+
+
+@pytest.mark.parametrize("cell", _DISAGREEMENT)
+@pytest.mark.parametrize("column", range(4))
+def test_reader_matches_line_by_line_on_each_disagreement_cell(cell, column):
+    cells = ["0.5", "0.25", "1", "0"]
+    cells[column] = cell
+    _assert_reads_as_line_by_line(["r,phi,re,im", ",".join(cells), "1,2,3,4"])
 
 
 def _decompose_lines(tmp_path, capsys, lines):

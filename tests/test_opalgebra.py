@@ -189,6 +189,16 @@ def test_memoised_images_follow_the_injected_defect():
     assert after == fresh() == before
 
 
+def test_image_memo_builds_each_image_once():
+    # The Killing Casimir on every state n, p <= 30 reads thousands of
+    # images, many of them more than once; none is built twice.
+    oa._image.cache_clear()
+    verify.suite_so32(nmax=30)
+    info = oa._image.cache_info()
+    assert info.maxsize is None
+    assert info.misses == info.currsize
+
+
 def test_returned_vectors_do_not_alias_the_memo():
     state = oa.exact_state(1, 2)
     first = oa.apply_exact(Op.Rplus, state)
@@ -694,7 +704,7 @@ def test_table_and_killing_entries_are_exact_integers(constants):
     assert all(type(v) is int for v in entries)
     assert entries == {0, 1, -1, 2, -2, 4, -4}
     assert all(type(v) is int for v in constants.leftover.values())
-    killing = {v for row in oa.killing_form(constants) for v in row}
+    killing = {v for row in constants.killing_form for v in row}
     assert all(type(v) is int for v in killing)
     assert killing == {-24, -12, 0, 6, 12}
     parts, den = constants.casimir_parts
@@ -718,7 +728,7 @@ def test_table_reproduces_every_commutator_on_every_state(constants):
 
 
 def test_exact_inverse(constants):
-    killing = oa.killing_form(constants)
+    killing = constants.killing_form
     inverse = oa._inverse(killing)
     size = len(killing)
     for i in range(size):
