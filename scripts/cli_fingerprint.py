@@ -14,8 +14,9 @@ one with a short row and one with a cell that is not a number,
 ``--apply Jplus`` on a single mode at large j (999,983, and
 9,007,199,254,740,880 just under the 2**53 label bound, where j + 1 is
 prime), a mode whose power is beyond the float range (exit 2), a mode
-file with a power column and one trailing comma, and one whose label cell
-is padded with U+001F, which ``float`` refuses (exit 2).
+file with a power column and one trailing comma, one whose label cell
+is padded with U+001F, which ``float`` refuses (exit 2), and one with a
+form feed inside a row and a bad cell on the next (exit 2 naming line 3).
 Run it on two checkouts and diff the outputs to confirm that a change
 leaves every command's output byte-identical:
 
@@ -89,6 +90,7 @@ def lines() -> Iterator[str]:
         large_j, large_amp = Path(tmp) / "large-j.csv", Path(tmp) / "large-amplitude.csv"
         largest_j = Path(tmp) / "largest-j.csv"
         extra_cell, padded_label = Path(tmp) / "extra-cell.csv", Path(tmp) / "padded-label.csv"
+        form_feed = Path(tmp) / "form-feed.csv"
         field, field96, field96_j3, misplaced, short_row, bad_cell = (
             Path(tmp) / name
             for name in ("field.csv", "field96.csv", "field96-j3.csv", "misplaced.csv",
@@ -104,6 +106,7 @@ def lines() -> Iterator[str]:
             encoding="utf-8",
         )
         padded_label.write_text("j,m,re,im\n\x1f1,0,1.0,0.0\n", encoding="utf-8")
+        form_feed.write_text("j,m,re,im\n0,0,1,0\x0c\n1,0,x,0\n", encoding="utf-8")
         # decompose reads the output of these three
         to_field = ["modes", "--input", str(modes), "--to-field"]
         to_field96 = ["modes", "--input", str(modes8), "--to-field",
@@ -154,6 +157,8 @@ def lines() -> Iterator[str]:
             ["modes", "--input", str(extra_cell)],
             # float() refuses a label cell padded with U+001F: exit 2 naming line 2.
             ["modes", "--input", str(padded_label)],
+            # A form feed stays inside its row: exit 2 naming line 3.
+            ["modes", "--input", str(form_feed)],
         ]
         for argv in calls:
             code, stdout, stderr = _run(argv)

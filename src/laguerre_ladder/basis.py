@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 from typing import Iterable, NamedTuple
 
@@ -50,16 +50,18 @@ class Carrier:
     half_power: int
     core: LaurentPoly
     label: BasisIndex | None = field(default=None, compare=False)
-    _norm: float = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        # One exact square root per carrier, not per evaluated point.
-        object.__setattr__(self, "_norm", self.sign * float_sqrt(self.norm_squared))
-        # Hashed once: every node_values lookup hashes its carrier.
-        object.__setattr__(
-            self, "_hash", hash((self.sign, self.norm_squared, self.half_power, self.core))
-        )
+    # Both on first use: a carrier that is only compared exactly (as the
+    # differential images of label-diff-consistency are) never pays for them.
+    @cached_property
+    def _norm(self) -> float:
+        """One exact square root per carrier, not per evaluated point."""
+        return self.sign * float_sqrt(self.norm_squared)
+
+    @cached_property
+    def _hash(self) -> int:
+        """Hashed once: every node_values lookup hashes its carrier."""
+        return hash((self.sign, self.norm_squared, self.half_power, self.core))
 
     def __hash__(self) -> int:
         return self._hash

@@ -211,10 +211,23 @@ def cmd_gram(args) -> int:
 
 
 def _read_lines(path: str) -> list[str]:
+    """The input's lines, split at "\n" alone and each without a trailing "\r".
+
+    A form feed, vertical tab or U+2028 inside a row stays in that row
+    (``str.splitlines`` would break there and shift every later line
+    number).  Files are newline-translated on reading, stdin is not.
+    """
     if path == "-":
-        return sys.stdin.read().splitlines()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read().splitlines()
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # after the last newline, or an empty input
+    if "\r" in text:
+        lines = [line.removesuffix("\r") for line in lines]
+    return lines
 
 
 def _parse_csv(lines: list[str], header: list[str], min_fields: int) -> np.ndarray:

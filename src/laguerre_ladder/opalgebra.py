@@ -148,15 +148,20 @@ def _image(op: OperatorName, n: int, p: int, defect: str | None) -> ExactVector:
     ``perm`` makes zero when j > n or l > p."""
     if op not in _BILINEARS:
         raise ValueError(f"operator {op.value} has no label-space action")
-    out: ExactVector = {}
-    for (i, j, k, l), coeff in _BILINEARS[op].items():
+    # Integer numerators over the lcm of the coefficients' denominators (2
+    # for J3, K3, R3 and S3, else 1), divided once per element.
+    poly = _BILINEARS[op]
+    den = lcm(*(c.denominator for c in poly.values()))
+    out: dict[BasisIndex, int] = {}
+    for (i, j, k, l), coeff in poly.items():
         target = BasisIndex(n - j + i, p - l + k)
-        out[target] = out.get(target, 0) + coeff * perm(n, j) * perm(p, l)
+        num = coeff.numerator * (den // coeff.denominator)
+        out[target] = out.get(target, 0) + num * perm(n, j) * perm(p, l)
     if op is OperatorName.Jplus and defect == "jplus-sign" and (n, p) == (1, 2):
         out = {t: -elem for t, elem in out.items()}
     # Integral elements as int, so that products of them stay integer
     # arithmetic; only half-integers are Fraction.
-    return {t: e.numerator if e.denominator == 1 else e for t, e in out.items() if e}
+    return {t: e // den if e % den == 0 else Fraction(e, den) for t, e in out.items() if e}
 
 
 def combine(terms: Iterable[tuple[int | Fraction, Mapping]]) -> dict:

@@ -78,13 +78,19 @@ def gauss_laguerre(order: int) -> QuadratureRule:
         # integers: with z = m/d, p(z) = a/b and p'(z) = c/e (b, e > 0),
         # z - dz = (m b c - d a e) / (d b c), rounded once by int true
         # division as float(Fraction) would.  Quadratic convergence makes
-        # the rounded result the true root to the last bit.
+        # the rounded result the true root to the last bit.  d and the
+        # powers of two in b and e enter as shifts, less their common part.
         for _ in range(4):
             m, d = z.as_integer_ratio()
             a, b = poly.ratio_at(z)
             c, e = slope.ratio_at(z)
-            done = abs(a * e) * d * 10**15 <= m * abs(b * c)
-            z = (m * b * c - d * a * e) / (d * b * c)
+            (b, kb), (e, ke) = _odd_part(b), _odd_part(e)
+            kd = d.bit_length() - 1
+            low = min(kb, kd + ke)
+            bc = (b * c) << (kb - low)
+            ae = (a * e) << (kd + ke - low)
+            done = abs(ae) * 10**15 <= m * abs(bc)
+            z = (m * bc - ae) / (bc << kd)
             if done:
                 break
         else:
@@ -96,13 +102,23 @@ def gauss_laguerre(order: int) -> QuadratureRule:
     # there, not the true weight, which also moves with the node's rounding.
     # True weights at the far nodes of very large rules sit below the double
     # floor; those are clamped to the smallest positive float (error <= 5e-324).
+    # With b = odd << kb, the factor b*b / d is a shift by 2 kb - kd >= 0:
+    # b carries at least d**(order + 1) (``ratio_at``).
     weights: list[float] = []
     above = laguerre(order + 1, 0)
     for z in nodes:
         m, d = z.as_integer_ratio()
         a, b = above.ratio_at(z)
-        weights.append(max(m * b * b / (d * ((order + 1) * a) ** 2), _SMALLEST_POSITIVE))
+        b, kb = _odd_part(b)
+        num = (m * b * b) << (2 * kb - (d.bit_length() - 1))
+        weights.append(max(num / ((order + 1) * a) ** 2, _SMALLEST_POSITIVE))
     return QuadratureRule(nodes=tuple(nodes), weights=tuple(weights))
+
+
+def _odd_part(v: int) -> tuple[int, int]:
+    """(u, k) with v = u << k and u odd, for v > 0."""
+    k = (v & -v).bit_length() - 1
+    return v >> k, k
 
 
 @lru_cache(maxsize=_MAX_SAMPLES)
@@ -130,14 +146,30 @@ def _top_degree(carriers: list[Carrier]) -> int:
     return max(c.half_power + 2 * (c.core.degree() or 0) for c in carriers)
 
 
-def _integral(poly: LaurentPoly, rule: QuadratureRule) -> float:
-    """Integral of exp(-x) * poly over (0, inf), refused where the rule is inexact."""
-    if poly.is_zero():
+def _integral(a: LaurentPoly, b: LaurentPoly, shift: int, rule: QuadratureRule) -> float:
+    """Integral of exp(-x) * a * b * x**shift over (0, inf), refused where the rule is inexact.
+
+    The product is never built: at each node the two factors are evaluated
+    exactly (a square's factor once), and their product times x**shift is
+    rounded once, which is the product polynomial's value there to the last
+    bit.
+    """
+    if a.is_zero() or b.is_zero():
         return 0.0
-    if poly.low_degree() < 0:
+    if a.low_degree() + b.low_degree() + shift < 0:
         raise ValueError("integrand is not polynomial (negative powers remain)")
-    _require_order(rule, poly.degree(), f"degree {poly.degree()}")
-    return rule.integrate(poly.eval_float)
+    degree = a.degree() + b.degree() + shift
+    _require_order(rule, degree, f"degree {degree}")
+
+    def value(x: float) -> float:
+        na, da = a.ratio_at(x)
+        nb, db = (na, da) if b is a else b.ratio_at(x)
+        m, d = x.as_integer_ratio()
+        if shift < 0:
+            m, d = d, m
+        return na * nb * m ** abs(shift) / (da * db * d ** abs(shift))
+
+    return rule.integrate(value)
 
 
 def inner_product(a: Carrier, b: Carrier, rule: QuadratureRule) -> float:
@@ -153,7 +185,7 @@ def inner_product(a: Carrier, b: Carrier, rule: QuadratureRule) -> float:
         raise ValueError(
             "integrand contains sqrt(x) (odd combined half power); refusing to approximate"
         )
-    integral = _integral((a.core * b.core).shift(combined // 2), rule)
+    integral = _integral(a.core, b.core, combined // 2, rule)
     scale = a.sign * b.sign * float_sqrt(a.norm_squared * b.norm_squared)
     return scale * integral
 
@@ -164,7 +196,7 @@ def weighted_inner_product(
     """Unnormalized inner product with weight x**alpha exp(-x)."""
     if alpha < 0:
         raise ValueError(f"weight exponent must be non-negative (got {alpha})")
-    return _integral((a * b).shift(alpha), rule)
+    return _integral(a, b, alpha, rule)
 
 
 def gram_matrix(alpha: int, nmax: int, rule: QuadratureRule) -> np.ndarray:

@@ -259,11 +259,13 @@ def label_diff_consistency(nmax: int = 10) -> dict:
                     c = carrier_M(*t)
                     shift = (c.half_power - image.half_power) // 2
                     terms.append((coeff * gauge(c), c.core, shift))
-                lhs, rhs = gauge(image) * image.core, exactpoly.combination(terms)
+                # lhs - rhs in one pass; the two sides are built on a mismatch only.
+                diff = exactpoly.combination([(-gauge(image), image.core, 0), *terms])
                 residual = 0
-                if lhs != rhs:
+                if diff:
+                    lhs, rhs = gauge(image) * image.core, exactpoly.combination(terms)
                     scale = max(lhs.max_abs_coefficient(), rhs.max_abs_coefficient())
-                    residual = (lhs - rhs).max_abs_coefficient() / scale
+                    residual = diff.max_abs_coefficient() / scale
                 yield residual, lambda: {"op": op.value, "state": [n, p]}
 
     return _check(cases())
@@ -344,14 +346,16 @@ def _mode_algebra_cases(singles: list[tuple[plane.ModeIndex, plane.ModeCoefficie
 def _pointwise_cases():
     """J+ on mode amplitudes, sampled on a grid, against the differential form."""
     small = plane.PolarGrid.build(16, 16)
+    angles = small.angular_nodes
     for idx in plane.modes_up_to(3):
         single = plane.ModeCoefficients(coeffs={idx: 1.0}, jmax=4)
         raised = plane.reconstruct(plane.apply_mode_operator(Op.Jplus, single), small)
         c = plane.radial_carrier(idx)
+        phases = [np.exp(1j * (idx.m + 1) * phi) for phi in angles]
         for k, x in enumerate(small.radial_x):
             radial = opalgebra.apply_diff(Op.Jplus, c, x)
-            for q, phi in enumerate(small.angular_nodes):
-                residual = abs(radial * np.exp(1j * (idx.m + 1) * phi) - raised.values[k, q])
+            for q, phi in enumerate(angles):
+                residual = abs(radial * phases[q] - raised.values[k, q])
                 yield residual, lambda: {"mode": list(idx), "x": x, "phi": phi}
 
 

@@ -5,6 +5,7 @@ sample, one Python complex per cell, one radial sample per mode.  The
 library batches each of these; its output must match them bit for bit.
 """
 
+import io
 import math
 
 import numpy as np
@@ -231,6 +232,30 @@ def test_reader_matches_line_by_line_with_blank_lines(tmp_path, capsys):
     _assert_reads_as_line_by_line(lines)
 
 
+@pytest.mark.parametrize("char", ["\x0c", "\x0b", "\u2028"])
+def test_a_line_break_character_inside_a_row_keeps_the_line_numbers(tmp_path, capsys, char):
+    # str.splitlines would break the row there and name line 4.
+    path = tmp_path / "modes.csv"
+    path.write_text(f"j,m,re,im\n0,0,1,0{char}\n1,0,x,0\n", encoding="utf-8")
+    code, out, err = run(capsys, "modes", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: could not convert string to float: 'x'\n"
+
+
+def test_stdin_crlf_and_empty_inputs_read_as_files(tmp_path, capsys, monkeypatch):
+    text = "j,m,re,im\r\n0,0,1,0\r\n1,1,0.5,0\r\n"
+    path = tmp_path / "modes.csv"
+    path.write_bytes(text.encode())
+    from_file = run(capsys, "modes", "--input", str(path))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(capsys, "modes", "--input", "-") == from_file
+    assert from_file[0] == 0
+    path.write_text("")
+    assert run(capsys, "modes", "--input", str(path)) == (
+        2, "", "error: line 1: empty input, expected a header row\n"
+    )
+
+
 def test_reader_matches_line_by_line_with_crlf_endings(tmp_path, capsys):
     text = "\r\n".join(_big_field_lines(tmp_path, capsys)) + "\r\n"
     _assert_reads_as_line_by_line(text.splitlines())
@@ -315,8 +340,12 @@ _ROW = st.builds(
     st.lists(_CELL | st.sampled_from(["", "x"]), max_size=2),
 )
 # Cells that only float() reads (1_0 and the non-ASCII digits), that only
-# numpy's parser reads (U+001F padding), or that neither reads.
-_DISAGREEMENT = ["1_0", "\u0661\u0662", "\uff11.5", "\x1f1.5", "1.5\x1f", "#", "1#x"]
+# numpy's parser reads (U+001C..U+001F padding, which the line reader keeps
+# inside its row), or that neither reads.
+_DISAGREEMENT = [
+    "1_0", "\u0661\u0662", "\uff11.5", "\x1c1.5", "1.5\x1d", "\x1e1.5", "\x1f1.5", "1.5\x1f",
+    "#", "1#x",
+]
 
 
 @settings(max_examples=300, deadline=None)

@@ -28,7 +28,7 @@ def test_cpu_independent_fingerprint_lines_are_pinned():
     text = GOLDEN.read_text(encoding="utf-8").splitlines()
     libc = next(line.removeprefix("# libc: ") for line in text if line.startswith("# libc: "))
     golden = [line for line in text if not line.startswith("#")]
-    assert len(golden) == 22
+    assert len(golden) == 23
     assert [by_call.get(_call(line)) for line in golden] == golden, (
         f"pinned under {libc}, running under {' '.join(platform.libc_ver())}"
     )

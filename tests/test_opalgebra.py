@@ -236,6 +236,46 @@ def test_integral_elements_are_ints_and_half_integers_fractions():
     assert type(element(Op.R3, 0, 5)) is Fraction and element(Op.R3, 0, 5) == Fraction(1, 2)
 
 
+def _reference_image(op, n, p, defect):
+    """The label image summed in Fraction arithmetic, straight from the table."""
+    out = {}
+    for (i, j, k, l), coeff in oa._BILINEARS[op].items():
+        target = BasisIndex(n - j + i, p - l + k)
+        out[target] = out.get(target, 0) + Fraction(coeff) * math.perm(n, j) * math.perm(p, l)
+    if op is Op.Jplus and defect == "jplus-sign" and (n, p) == (1, 2):
+        out = {t: -e for t, e in out.items()}
+    return {t: e.numerator if e.denominator == 1 else e for t, e in out.items() if e}
+
+
+def test_images_are_built_in_integers_and_match_the_fraction_reference(monkeypatch):
+    ops = [op for op in Op if op is not Op.Dx]
+    keys = [(op, n, p, defect) for op in ops for n in range(7) for p in range(7)
+            for defect in (None, "jplus-sign")]
+    want = [_reference_image(*key) for key in keys]
+    products = []
+
+    def counted(name):
+        original = getattr(Fraction, name)
+
+        def wrapper(self, other):
+            products.append(name)
+            return original(self, other)
+
+        return wrapper
+
+    oa._image.cache_clear()
+    with monkeypatch.context() as patch:
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            patch.setattr(Fraction, name, counted(name))
+        got = [oa._image(*key) for key in keys]
+    oa._image.cache_clear()
+    assert products == []
+    assert [[(t, type(e)) for t, e in g.items()] for g in got] == [
+        [(t, type(e)) for t, e in w.items()] for w in want
+    ]
+    assert got == want
+
+
 def test_multi_state_vectors_sum_their_images_exactly():
     # X sends (0, 0) and (2, 2) both onto (1, 1), with -1 and -4: these cancel.
     vec = {BasisIndex(0, 0): 4, BasisIndex(2, 2): -1}

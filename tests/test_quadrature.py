@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from laguerre_ladder.basis import Carrier, carrier_M, weightless_values
 from laguerre_ladder.exactpoly import LaurentPoly, laguerre
+from laguerre_ladder.radicals import float_sqrt
 from laguerre_ladder.quadrature import (
     QuadratureRule,
     gauss_laguerre,
@@ -206,6 +207,52 @@ def test_each_integral_is_refused_one_order_short(call, need, message):
         f"rule order {need - 1} insufficient for {message}; need at least {need}"
     )
     call(gauss_laguerre(need))
+
+
+_LAGUERRE = st.tuples(st.integers(0, 10), st.integers(-3, 6)).filter(lambda t: sum(t) >= 0)
+
+
+def _product_reference(a, b, shift, rule):
+    """The integral through the product polynomial, each node value rounded once."""
+    product = (a * b).shift(shift)
+    return math.fsum(w * product.eval_float(x) for x, w in zip(rule.nodes, rule.weights))
+
+
+@settings(max_examples=150, deadline=None)
+@given(first=_LAGUERRE, second=_LAGUERRE, shift=st.integers(0, 5),
+       order=st.sampled_from([8, 32, 64]))
+def test_integrals_equal_the_product_polynomial_reference(first, second, shift, order):
+    rule = gauss_laguerre(order)
+    a, b = laguerre(*first), laguerre(*second)
+    ca, cb = carrier_M(first[0], sum(first)), carrier_M(second[0], sum(second))
+    scale = ca.sign * cb.sign * float_sqrt(ca.norm_squared * cb.norm_squared)
+    combined = ca.half_power + cb.half_power
+    calls = [(weighted_inner_product, (a, b, shift), a, b, shift, 1.0)]
+    if combined % 2 == 0:
+        calls.append((inner_product, (ca, cb), ca.core, cb.core, combined // 2, scale))
+    for call, args, p, q, s, factor in calls:
+        degree = p.degree() + q.degree() + s
+        if degree >= 2 * order:
+            with pytest.raises(ValueError) as refused:
+                call(*args, rule)
+            assert str(refused.value) == (
+                f"rule order {order} insufficient for degree {degree}; "
+                f"need at least {degree // 2 + 1}"
+            )
+            continue
+        want = factor * _product_reference(p, q, s, rule)
+        with pytest.MonkeyPatch.context() as patch:
+            # No product polynomial is built on the way.
+            patch.setattr(LaurentPoly, "__mul__", None)
+            patch.setattr(LaurentPoly, "__rmul__", None)
+            got = call(*args, rule)
+        assert got.hex() == want.hex(), call
+
+
+def test_integral_of_a_zero_factor_is_zero_and_negative_powers_are_refused(rule64):
+    assert weighted_inner_product(LaurentPoly(), laguerre(3, 0), 0, rule64) == 0.0
+    with pytest.raises(ValueError, match=r"^integrand is not polynomial \(negative powers remain\)$"):
+        weighted_inner_product(laguerre(2, -2), LaurentPoly({-3: 1}), 0, rule64)
 
 
 # -- projections ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laguerre_ladder import opalgebra, verify
+from laguerre_ladder import basis, opalgebra, verify
 from laguerre_ladder.basis import BasisIndex
 from laguerre_ladder.opalgebra import OperatorName as Op
 from laguerre_ladder.verify import _check
@@ -146,3 +146,18 @@ def test_casimirs_equal_their_closed_forms_at_large_labels(n, p):
     state = BasisIndex(n, p)
     for _, which, value in verify._CASIMIR_CHECKS:
         assert opalgebra.casimir_eigenvalue(which, state) == value(state)
+
+
+def test_label_diff_consistency_takes_no_square_root(monkeypatch):
+    # Its differential images are compared exactly: no carrier it builds is
+    # evaluated or hashed, so none computes its norm.
+    calls = []
+    monkeypatch.setattr(basis, "float_sqrt", lambda q: calls.append(q) or 1.0)
+    opalgebra.diff_image.cache_clear()
+    basis.carrier_M.cache_clear()
+    try:
+        assert verify.label_diff_consistency(10)["pass"]
+    finally:
+        opalgebra.diff_image.cache_clear()
+        basis.carrier_M.cache_clear()
+    assert calls == []
