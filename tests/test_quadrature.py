@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from laguerre_ladder.basis import Carrier, carrier_M, weightless_values
 from laguerre_ladder.exactpoly import LaurentPoly, laguerre
-from laguerre_ladder.radicals import float_sqrt
 from laguerre_ladder.quadrature import (
     QuadratureRule,
     gauss_laguerre,
@@ -21,6 +20,7 @@ from laguerre_ladder.quadrature import (
     projection_convergence,
     weighted_inner_product,
 )
+from laguerre_ladder.radicals import float_sqrt
 
 
 @pytest.fixture(scope="module")
@@ -227,7 +227,10 @@ def test_integrals_equal_the_product_polynomial_reference(first, second, shift, 
     ca, cb = carrier_M(first[0], sum(first)), carrier_M(second[0], sum(second))
     scale = ca.sign * cb.sign * float_sqrt(ca.norm_squared * cb.norm_squared)
     combined = ca.half_power + cb.half_power
-    calls = [(weighted_inner_product, (a, b, shift), a, b, shift, 1.0)]
+    calls = [
+        (weighted_inner_product, (a, b, shift), a, b, shift, 1.0),
+        (weighted_inner_product, (a, a, shift), a, a, shift, 1.0),  # a square
+    ]
     if combined % 2 == 0:
         calls.append((inner_product, (ca, cb), ca.core, cb.core, combined // 2, scale))
     for call, args, p, q, s, factor in calls:
@@ -251,7 +254,8 @@ def test_integrals_equal_the_product_polynomial_reference(first, second, shift, 
 
 def test_integral_of_a_zero_factor_is_zero_and_negative_powers_are_refused(rule64):
     assert weighted_inner_product(LaurentPoly(), laguerre(3, 0), 0, rule64) == 0.0
-    with pytest.raises(ValueError, match=r"^integrand is not polynomial \(negative powers remain\)$"):
+    message = r"^integrand is not polynomial \(negative powers remain\)$"
+    with pytest.raises(ValueError, match=message):
         weighted_inner_product(laguerre(2, -2), LaurentPoly({-3: 1}), 0, rule64)
 
 
