@@ -175,11 +175,16 @@ def cmd_table(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    for name in ("nmax", "alpha_max", "jmax"):
+def _require_non_negative(args, names: tuple[str, ...]) -> None:
+    """Reject a negative size option by name."""
+    for name in names:
         if getattr(args, name) < 0:
             flag = name.replace("_", "-")
             raise ValueError(f"--{flag} must be non-negative (got {getattr(args, name)})")
+
+
+def cmd_verify(args) -> int:
+    _require_non_negative(args, ("nmax", "alpha_max", "jmax"))
     names = list(verify.SUITE_NAMES) if args.suite == "all" else [args.suite]
     with opalgebra.injected_defect(args.defect):
         report = verify.run_suites(
@@ -311,6 +316,7 @@ def _field_from_rows(table: np.ndarray) -> Field2D:
 
 
 def cmd_decompose(args) -> int:
+    _require_non_negative(args, ("jmax",))
     rows = _parse_csv(_read_lines(args.input), ["r", "phi", "re", "im"], 4)
     field = _field_from_rows(rows)
     coeffs = plane.decompose(field, args.jmax)

@@ -9,8 +9,9 @@ and second-order equation operators, in two realizations:
   commutators, Casimir eigenvalues and the Killing form come out in
   int/Fraction arithmetic; a normalised element is formed as one exact
   radical only to round it, in the one float action (``apply_label``), and
-* differential forms on carriers, applied to the exact core of each
-  carrier once and then evaluated pointwise.
+* differential forms on carriers: ``_FORMS`` states each as a combination
+  of the carrier's core and its derivatives, which ``diff_image`` applies
+  to the exact core once and ``apply_diff`` evaluates pointwise.
 
 The label action is ground truth; differential forms are checked against
 it.  ``_BILINEARS`` states every generator once, as a normal-ordered
@@ -32,10 +33,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb, lcm, perm
-from types import MappingProxyType
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
-from .basis import BasisIndex, Carrier, carrier_M, derived_core, evaluate, evaluate_derivative
+from .basis import BasisIndex, Carrier, carrier_M, derived_core, evaluate
 from .exactpoly import LaurentPoly, combination
 from .radicals import SqrtSum
 
@@ -131,14 +131,6 @@ def injected_defect(name: str | None):
         yield
     finally:
         _injected_defect = previous
-
-
-def _terms(op: OperatorName, n: int, p: int) -> Mapping[BasisIndex, int | Fraction]:
-    """Image of the unnormalised state (n, p) under op, integer gauge.
-
-    A read-only view of an image built once per injected defect.
-    """
-    return MappingProxyType(_image(op, n, p, _injected_defect))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -270,7 +262,7 @@ def apply_label(op: OperatorName, terms: Mapping) -> dict[BasisIndex, float | co
 
     Boundary labels annihilate cleanly.
     """
-    return _float_images(lambda n, p: _terms(op, n, p), terms)
+    return _float_images(lambda n, p: _image(op, n, p, _injected_defect), terms)
 
 
 def commutator_label(
@@ -336,86 +328,86 @@ def casimir_eigenvalue(which: CasimirName, idx: tuple[int, int]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Second-order equation operator, exact symbolic annihilation
+# Differential realizations
 # ---------------------------------------------------------------------------
+
+
+def _eigenvalue_form(op: OperatorName):
+    """A number operator's form: the label's eigenvalue times the carrier."""
+    return lambda n, p: (0, {0: {0: _image(op, n, p, None).get((n, p), 0)}})
+
+
+# Every differential form, as one symbolic table.  On the carrier of label
+# (n, p), N x**(k/2) exp(-x/2) q, the form of op gives
+# N x**((k+s)/2) exp(-x/2) sum_d a_d D**d(q), with D = derived_core(k, .)
+# and op -> (n, p) -> (s, {d: a_d}), each a_d as {power: coefficient}.
+_FORMS = {
+    OperatorName.Bplus: lambda n, p: (1, {1: {0: -1}, 0: {0: _HALF, -1: Fraction(p - n, 2)}}),
+    OperatorName.Bminus: lambda n, p: (1, {1: {0: 1}, 0: {0: _HALF, -1: Fraction(p - n, 2)}}),
+    OperatorName.Jplus: lambda n, p: (0, {
+        1: {0: p - n - 1},
+        0: {-1: Fraction((n - p + 1) * (n - p), 2), 0: Fraction(-(n + p + 1), 2)},
+    }),
+    OperatorName.Jminus: lambda n, p: (0, {
+        1: {0: n - p - 1},
+        0: {-1: Fraction((n - p - 1) * (n - p), 2), 0: Fraction(-(n + p + 1), 2)},
+    }),
+    OperatorName.Kplus: lambda n, p: (0, {1: {1: 1}, 0: {0: Fraction(n + p + 2, 2), 1: -_HALF}}),
+    OperatorName.Kminus: lambda n, p: (0, {1: {1: -1}, 0: {0: Fraction(n + p, 2), 1: -_HALF}}),
+    # The second-order equation operator annihilates every carrier.
+    OperatorName.E: lambda n, p: (0, {
+        2: {1: 1},
+        1: {0: 1},
+        0: {0: Fraction(n + p + 1, 2), -1: Fraction(-(p - n) ** 2, 4), 1: Fraction(-1, 4)},
+    }),
+    OperatorName.Dx: lambda n, p: (0, {1: {0: 1}}),
+    OperatorName.X: lambda n, p: (0, {0: {1: 1}}),
+    **{op: _eigenvalue_form(op) for op in _DIAGONAL},
+}
+
+# The six steps that label-diff-consistency checks against the label action.
+FIRST_ORDER: tuple[OperatorName, ...] = (
+    OperatorName.Bplus, OperatorName.Bminus, OperatorName.Jplus,
+    OperatorName.Jminus, OperatorName.Kplus, OperatorName.Kminus,
+)
+
+
+# One verify --suite all builds 895 images: the six first-order forms on
+# n, p <= 10 (726) and E on the exact suite's labels (169).
+@lru_cache(maxsize=1024, typed=True)
+def diff_image(op: OperatorName, n: int, p: int) -> Carrier:
+    """The differential form of op applied to carrier_M(n, p), exactly.
+
+    The image keeps the carrier's sign, normalisation and label, with the
+    half power the form gives and its core as one combination of the core
+    and its derived cores.
+    """
+    c = carrier_M(n, p)
+    shift, parts = _FORMS[op](n, p)
+    cores = [c.core]
+    for _ in range(max(parts)):
+        cores.append(derived_core(c.half_power, cores[-1]))
+    core = combination([(v, cores[d], k) for d, a in parts.items() for k, v in a.items()])
+    return Carrier(c.sign, c.norm_squared, c.half_power + shift, core, c.label)
 
 
 def e_residual_symbolic(n: int, p: int) -> LaurentPoly:
-    """Apply the second-order equation operator to the carrier symbolically.
+    """The second-order equation operator applied to carrier_M(n, p).
 
-    Works on the unnormalized form x**(k/2) exp(-x/2) core; the common outer
-    factor is dropped and the remaining Laurent polynomial returned.  It is
-    exactly zero for every valid label pair.
+    The core of its ``diff_image``: the outer factor x**(k/2) exp(-x/2) is
+    dropped.  It is exactly zero for every valid label pair.
     """
-    c = carrier_M(n, p)
-    q = c.core
-    k = c.half_power
-    q1 = derived_core(k, q)
-    q2 = derived_core(k, q1)
-    return combination([
-        (1, q2, 1),
-        (1, q1, 0),
-        (Fraction(n + p + 1, 2), q, 0),
-        (Fraction(-(p - n) ** 2, 4), q, -1),
-        (Fraction(-1, 4), q, 1),
-    ])
-
-
-# ---------------------------------------------------------------------------
-# First-order differential realizations
-# ---------------------------------------------------------------------------
-
-# The first-order forms, as one symbolic table.  On the carrier of label
-# (n, p), N x**(k/2) exp(-x/2) q, the form of op gives
-# N x**((k+s)/2) exp(-x/2) (a D(q) + b q), with D = derived_core(k, .) and
-# op -> (n, p) -> (s, a, b), a and b as {power: coefficient}.
-_FIRST_ORDER_FORMS = {
-    OperatorName.Bplus: lambda n, p: (1, {0: -1}, {0: Fraction(1, 2), -1: Fraction(p - n, 2)}),
-    OperatorName.Bminus: lambda n, p: (1, {0: 1}, {0: Fraction(1, 2), -1: Fraction(p - n, 2)}),
-    OperatorName.Jplus: lambda n, p: (
-        0, {0: p - n - 1}, {-1: Fraction((n - p + 1) * (n - p), 2), 0: Fraction(-(n + p + 1), 2)}
-    ),
-    OperatorName.Jminus: lambda n, p: (
-        0, {0: n - p - 1}, {-1: Fraction((n - p - 1) * (n - p), 2), 0: Fraction(-(n + p + 1), 2)}
-    ),
-    OperatorName.Kplus: lambda n, p: (0, {1: 1}, {0: Fraction(n + p + 2, 2), 1: Fraction(-1, 2)}),
-    OperatorName.Kminus: lambda n, p: (0, {1: -1}, {0: Fraction(n + p, 2), 1: Fraction(-1, 2)}),
-}
-
-FIRST_ORDER: tuple[OperatorName, ...] = tuple(_FIRST_ORDER_FORMS)
-
-_DIFF_SUPPORTED = {*FIRST_ORDER, *_DIAGONAL, OperatorName.X, OperatorName.Dx, OperatorName.E}
-
-
-# One verify --suite all builds 726 images: the six forms on n, p <= 10.
-@lru_cache(maxsize=1024, typed=True)
-def diff_image(op: OperatorName, n: int, p: int) -> Carrier:
-    """The differential form of op (first-order or E) applied to carrier_M(n, p).
-
-    Exact: the image keeps the carrier's sign, normalisation and label, with
-    the half power and core the form gives.  E's core is
-    ``e_residual_symbolic``, identically zero.
-    """
-    c = carrier_M(n, p)
-    if op is OperatorName.E:
-        shift, core = 0, e_residual_symbolic(n, p)
-    else:
-        shift, a, b = _FIRST_ORDER_FORMS[op](n, p)
-        d = derived_core(c.half_power, c.core)
-        core = combination(
-            [*((v, d, k) for k, v in a.items()), *((v, c.core, k) for k, v in b.items())]
-        )
-    return Carrier(c.sign, c.norm_squared, c.half_power + shift, core, c.label)
+    return diff_image(OperatorName.E, n, p).core
 
 
 def apply_diff(op: OperatorName, c: Carrier, x: float) -> float:
     """Evaluate the published differential form of op on a carrier at x > 0.
 
-    The number operators are replaced by the eigenvalues of the carrier's
-    label.  The pure raising/lowering bosons acting on the first label and
-    the quadratic composites have no first-order form here and raise.
+    The number operators act as the eigenvalues of the carrier's label.
+    The pure raising/lowering bosons acting on the first label and the
+    quadratic composites have no differential form here and raise.
     """
-    if op not in _DIFF_SUPPORTED:
+    if op not in _FORMS:
         raise ValueError(
             f"operator {op.value} has no supported differential form; "
             "use the label-space action"
@@ -427,13 +419,6 @@ def apply_diff(op: OperatorName, c: Carrier, x: float) -> float:
     n, p = c.label
     if c != carrier_M(n, p):
         raise ValueError(f"carrier is not the basis function of its label {(n, p)}")
-
-    if op in _DIAGONAL:
-        return float(_terms(op, n, p).get((n, p), 0)) * evaluate(c, x)
-    if op is OperatorName.X:
-        return x * evaluate(c, x)
-    if op is OperatorName.Dx:
-        return evaluate_derivative(c, x, 1)
     return evaluate(diff_image(op, n, p), x)
 
 

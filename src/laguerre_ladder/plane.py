@@ -79,6 +79,8 @@ class PolarGrid:
 
     def require_support(self, jmax: int) -> None:
         """Modes through jmax integrate exactly only on a big enough grid."""
+        if jmax < 0:
+            raise ValueError(f"jmax must be non-negative (got {jmax})")
         radial_need = jmax + 1
         if self.rule.order < radial_need:
             raise ValueError(

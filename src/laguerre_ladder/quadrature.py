@@ -141,9 +141,18 @@ def _require_order(rule: QuadratureRule, degree: int, what: str) -> None:
         raise ValueError(f"rule order {rule.order} insufficient for {what}; need at least {need}")
 
 
-def _top_degree(carriers: list[Carrier]) -> int:
-    """Largest degree of x**half_power * core**2, a carrier's square without exp(-x)."""
-    return max(c.half_power + 2 * (c.core.degree() or 0) for c in carriers)
+def _top_degree(c: Carrier) -> int:
+    """Degree of x**half_power * core**2, the carrier's square without exp(-x)."""
+    return c.half_power + 2 * (c.core.degree() or 0)
+
+
+def _family_degree(alpha: int, nmax: int) -> int:
+    """The top degree of the alpha family through nmax, read off the labels.
+
+    Member k, carrier_M(k, k + alpha), has half power |alpha| and a core of
+    degree min(k, k + alpha): its square has degree 2k + alpha.
+    """
+    return 2 * nmax + alpha
 
 
 def _integral(a: LaurentPoly, b: LaurentPoly, shift: int, rule: QuadratureRule) -> float:
@@ -208,8 +217,8 @@ def gram_matrix(alpha: int, nmax: int, rule: QuadratureRule) -> np.ndarray:
     n0 = max(0, -alpha)
     if nmax < n0:
         raise ValueError(f"nmax={nmax} below first valid index {n0} for alpha={alpha}")
+    _require_order(rule, _family_degree(alpha, nmax), "the family")
     carriers = [carrier_M(k, k + alpha) for k in range(n0, nmax + 1)]
-    _require_order(rule, _top_degree(carriers), "the family")
     values = np.vstack([node_values(c, rule) for c in carriers])
     w = np.array(rule.weights)
     return (values * w) @ values.T
@@ -231,8 +240,11 @@ def projection_convergence(
             "target parity does not match the family (odd half-power difference)"
         )
     n0 = max(0, -family_alpha)
+    degree = _top_degree(target)
+    if max_n >= n0:
+        degree = max(degree, _family_degree(family_alpha, max_n))
+    _require_order(rule, degree, "the projection")
     members = [carrier_M(k, k + family_alpha) for k in range(n0, max_n + 1)]
-    _require_order(rule, _top_degree([target, *members]), "the projection")
     w = np.array(rule.weights)
     residual = node_values(target, rule)
     member_values = [node_values(c, rule) for c in members]

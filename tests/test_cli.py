@@ -394,6 +394,14 @@ def test_decompose_non_finite_cell_names_line(tmp_path, capsys, cell):
     assert "line 6" in err
 
 
+def test_decompose_rejects_a_negative_jmax(tmp_path, capsys):
+    field = _write_single_mode_field(tmp_path, capsys, 1, 0)
+    code, out, err = run(capsys, "decompose", "--input", str(field), "--jmax", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --jmax must be non-negative (got -1)\n"
+
+
 def test_decompose_insufficient_grid(tmp_path, capsys):
     field = _write_single_mode_field(tmp_path, capsys, 1, 0, radial=16, angular=16)
     code, _, err = run(capsys, "decompose", "--input", str(field), "--jmax", "10")

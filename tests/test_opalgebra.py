@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from laguerre_ladder import cli, radicals
 from laguerre_ladder import opalgebra as oa
 from laguerre_ladder import verify
-from laguerre_ladder.basis import BasisIndex, carrier_M, evaluate
+from laguerre_ladder.basis import BasisIndex, carrier_M, evaluate, evaluate_derivative
 from laguerre_ladder.opalgebra import OperatorName as Op
 from laguerre_ladder.radicals import SqrtSum
 
@@ -206,8 +206,6 @@ def test_returned_vectors_do_not_alias_the_memo():
     first[next(iter(first))] += 1
     first[BasisIndex(9, 9)] = 5
     assert oa.apply_exact(Op.Rplus, state) == expected
-    with pytest.raises(TypeError):
-        oa._terms(Op.Rplus, 1, 2)[BasisIndex(9, 9)] = 5
 
 
 def test_single_state_with_zero_coefficient_has_empty_image():
@@ -567,13 +565,13 @@ def test_differential_forms_need_the_label_carrier():
 def test_label_diff_witness_is_the_first_mismatch(monkeypatch):
     # K+ with one extra unit in b breaks K+ on every state; the report
     # names the first, (0, 0).
-    kplus = oa._FIRST_ORDER_FORMS[Op.Kplus]
+    kplus = oa._FORMS[Op.Kplus]
 
     def broken(n, p):
-        shift, a, b = kplus(n, p)
-        return shift, a, {**b, 0: b[0] + 1}
+        shift, parts = kplus(n, p)
+        return shift, {**parts, 0: {**parts[0], 0: parts[0][0] + 1}}
 
-    monkeypatch.setitem(oa._FIRST_ORDER_FORMS, Op.Kplus, broken)
+    monkeypatch.setitem(oa._FORMS, Op.Kplus, broken)
     oa.diff_image.cache_clear()
     try:
         check = verify.label_diff_consistency(2)
@@ -582,6 +580,41 @@ def test_label_diff_witness_is_the_first_mismatch(monkeypatch):
     assert check["pass"] is False
     assert check["cases"] == 54
     assert check["witness"] == {"op": "K+", "state": [0, 0]}
+
+
+def test_position_form_is_the_label_action(monkeypatch):
+    # X's form (the core times x) against X = N + P + 1 - K+ - K-, exactly.
+    monkeypatch.setattr(oa, "FIRST_ORDER", (Op.X,))
+    check = verify.label_diff_consistency(10)
+    assert check["pass"] is True
+    assert check["cases"] == 121
+
+
+_EIGENVALUES = {
+    Op.N: lambda n, p: n,
+    Op.P: lambda n, p: p,
+    Op.J3: lambda n, p: Fraction(n - p, 2),
+    Op.K3: lambda n, p: Fraction(n + p + 1, 2),
+    Op.R3: lambda n, p: n + Fraction(1, 2),
+    Op.S3: lambda n, p: p + Fraction(1, 2),
+}
+
+
+@pytest.mark.parametrize("op", list(_EIGENVALUES))
+def test_number_operator_forms_scale_the_carrier(op):
+    for n, p in itertools.product(range(7), repeat=2):
+        c, image = carrier_M(n, p), oa.diff_image(op, n, p)
+        assert (image.sign, image.norm_squared, image.half_power) == (
+            c.sign, c.norm_squared, c.half_power
+        )
+        assert image.core == _EIGENVALUES[op](n, p) * c.core, (n, p)
+
+
+def test_derivative_form_is_evaluate_derivative():
+    for n, p in itertools.product(range(7), repeat=2):
+        c = carrier_M(n, p)
+        for x in (0.05, 0.7, 3.3, 17.0, 60.0):
+            assert oa.apply_diff(Op.Dx, c, x).hex() == evaluate_derivative(c, x, 1).hex()
 
 
 def test_label_and_differential_realizations_agree():

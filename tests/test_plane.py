@@ -171,6 +171,15 @@ def test_roundtrip_random_coefficients(grid):
     assert coeffs.max_abs_diff(got) < 1e-10
 
 
+def test_negative_jmax_refused(grid):
+    field = reconstruct(ModeCoefficients(coeffs={ModeIndex(0, 0): 1.0}, jmax=0), grid)
+    calls = (lambda: grid.require_support(-1), lambda: decompose(field, -1),
+             lambda: gram_2d(-1, grid))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^jmax must be non-negative \(got -1\)$"):
+            call()
+
+
 def test_insufficient_grid_named(grid):
     with pytest.raises(ValueError, match="angular"):
         decompose(Field2D(grid=PolarGrid.build(16, 8), values=np.zeros((16, 8))), 6)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laguerre_ladder import quadrature
 from laguerre_ladder.basis import Carrier, carrier_M, weightless_values
 from laguerre_ladder.exactpoly import LaurentPoly, laguerre
 from laguerre_ladder.quadrature import (
@@ -207,6 +208,25 @@ def test_each_integral_is_refused_one_order_short(call, need, message):
         f"rule order {need - 1} insufficient for {message}; need at least {need}"
     )
     call(gauss_laguerre(need))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda rule: gram_matrix(0, 10**6, rule), "the family"),
+        (lambda rule: projection_convergence(carrier_M(0, 0), 0, 10**6, rule), "the projection"),
+    ],
+)
+def test_a_short_rule_is_refused_before_the_family_is_built(monkeypatch, call, message):
+    def build(n, p):
+        raise AssertionError(f"carrier_M({n}, {p}) built")
+
+    monkeypatch.setattr(quadrature, "carrier_M", build)
+    with pytest.raises(ValueError) as refused:
+        call(gauss_laguerre(64))
+    assert str(refused.value) == (
+        f"rule order 64 insufficient for {message}; need at least {10**6 + 1}"
+    )
 
 
 _LAGUERRE = st.tuples(st.integers(0, 10), st.integers(-3, 6)).filter(lambda t: sum(t) >= 0)
